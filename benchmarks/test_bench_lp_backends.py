@@ -1,9 +1,8 @@
-"""Ablation benchmark: the two LP backends on the mechanism-design programs.
+"""Benchmark: the HiGHS LP solver on the mechanism-design programs.
 
-DESIGN.md calls out the LP backend as a substitution for the paper's
-PyLPSolve.  This module times both backends on the same constrained design
-problems and verifies they reach the same optimum — so the choice of backend
-is a pure performance decision, not a correctness one.  The paper reports
+DESIGN.md calls out the LP solver as a substitution for the paper's
+PyLPSolve.  This module times HiGHS on the constrained design problems and
+checks each optimum against the paper's closed forms.  The paper reports
 "sub-second" LP solves on commodity hardware; the timings here confirm the
 same order of magnitude for comparable n.
 """
@@ -18,26 +17,22 @@ from repro.core.theory import em_l0_score, gm_l0_score
 
 
 @pytest.mark.benchmark(group="lp-backends")
-@pytest.mark.parametrize("backend", ["scipy", "simplex"])
-def test_unconstrained_design_backend(benchmark, backend):
+def test_unconstrained_design(benchmark):
     n, alpha = 7, 0.62
-    mechanism = benchmark(lambda: design_mechanism(n, alpha, properties=(), backend=backend))
+    mechanism = benchmark(lambda: design_mechanism(n, alpha, properties=()))
     assert l0_score(mechanism) == pytest.approx(gm_l0_score(alpha), abs=1e-7)
 
 
 @pytest.mark.benchmark(group="lp-backends")
-@pytest.mark.parametrize("backend", ["scipy", "simplex"])
-def test_fully_constrained_design_backend(benchmark, backend):
+def test_fully_constrained_design(benchmark):
     n, alpha = 7, 0.62
-    mechanism = benchmark(
-        lambda: design_mechanism(n, alpha, properties="all", backend=backend)
-    )
+    mechanism = benchmark(lambda: design_mechanism(n, alpha, properties="all"))
     assert l0_score(mechanism) == pytest.approx(em_l0_score(n, alpha), abs=1e-7)
 
 
 @pytest.mark.benchmark(group="lp-backends")
 def test_scipy_backend_scales_to_larger_groups(benchmark):
-    """The default backend must stay sub-second well beyond the paper's sizes."""
+    """HiGHS must stay sub-second well beyond the paper's sizes."""
     n, alpha = 24, 0.9
     mechanism = benchmark(lambda: design_mechanism(n, alpha, properties="WH+CM+S"))
     assert l0_score(mechanism) <= em_l0_score(n, alpha) + 1e-6

@@ -1,25 +1,16 @@
-"""Benchmarks for the plan registry and LP warm-starting.
+"""Benchmarks for the plan registry.
 
-Four guarantees from the registry layer are asserted here, not just timed:
+Two guarantees from the registry layer are asserted here, not just timed:
 
 * **registry-hit serving** — a design point solved once and persisted in the
   sqlite plan registry is served to a fresh process at least **5x** faster
   than the cold LP solve it replaces, at ``n >= 200`` (in practice the gap
   is three orders of magnitude), and the registry-loaded mechanism is
   bit-identical to the cold one;
-* **simplex warm-starting** — a cold ``(n, alpha)`` miss whose neighbour on
-  the registry's ``(n, alpha)`` index is cached warm-starts the in-repo
-  two-phase simplex from the neighbour's optimal basis, at least **5x**
-  faster than the cold two-phase solve (phase 1 is skipped entirely), with
-  the warm objective equal to the cold reference within ``1e-9`` and the
-  warm matrix verified feasible (columns sum to 1, entries non-negative);
 * **zero-solve grid serving** — after ``repro-mechanisms warm`` fills a
   registry, a freshly constructed cache (the daemon-restart shape) compiles
   every grid point into a :class:`~repro.engine.plan.ReleasePlan` with
-  **zero** LP solves, measured through the solver call counter;
-* **opt-out bit-identity** — with ``REPRO_NO_WARMSTART=1`` the solve next
-  to a populated registry is bit-identical to a solve with no registry at
-  all (the cold path is byte-for-byte today's behaviour).
+  **zero** LP solves, measured through the solver call counter.
 
 Solve times land in ``BENCH_registry.json`` via :mod:`_metrics` as
 lower-is-better ``*_s`` seconds metrics (plus higher-is-better
@@ -34,11 +25,9 @@ from __future__ import annotations
 import time
 
 import numpy as np
-import pytest
 from _metrics import record_case_metrics
 from _tiny import TINY
 
-from repro.core.selector import choose_mechanism
 from repro.engine.plan import ReleasePlan
 from repro.lp.solver import solve_call_count
 from repro.serving import DesignCache, warm_grid
@@ -47,24 +36,9 @@ from repro.serving import DesignCache, warm_grid
 #: scipy/HiGHS solve of the WH+CM design costs seconds and a registry load
 #: costs milliseconds.  TINY keeps the identical code path at a toy size.
 N_REGISTRY = 16 if TINY else 220
-#: Simplex warm-start case: the in-repo dense two-phase simplex is the
-#: warm-startable backend; at n = 10 the standard form has ~650 columns and
-#: a cold solve pays hundreds of phase-1 + phase-2 pivots that the imported
-#: neighbour basis skips outright.
-N_WARM = 6 if TINY else 10
 ALPHA = 0.9
-#: The warm/registry serving advantage both headline gates require.
+#: The registry serving advantage the headline gate requires.
 MIN_SPEEDUP = 5.0
-#: Warm solutions must match the cold reference objective this tightly.
-OBJECTIVE_TOLERANCE = 1e-9
-
-pytestmark = pytest.mark.usefixtures("_no_warmstart_env_leak")
-
-
-@pytest.fixture
-def _no_warmstart_env_leak(monkeypatch):
-    """Benchmarks measure the default (warm-start enabled) configuration."""
-    monkeypatch.delenv("REPRO_NO_WARMSTART", raising=False)
 
 
 def _timed(fn):
@@ -117,54 +91,6 @@ def test_registry_hit_5x_faster_than_cold_solve(tmp_path):
         )
 
 
-def test_simplex_warm_start_5x_faster_than_cold(tmp_path):
-    """A neighbour basis off the registry index skips phase 1 entirely."""
-    cache = DesignCache(directory=tmp_path)
-    # Seed the registry with the neighbouring alpha: this is the one cold
-    # two-phase solve the warm start amortises.
-    cache.get_or_design(N_WARM, ALPHA, properties="WH+CM", backend="simplex")
-
-    (warm_mech, _), warm_seconds = _timed(
-        lambda: cache.get_or_design(
-            N_WARM, ALPHA + 0.02, properties="WH+CM", backend="simplex"
-        )
-    )
-    stats = cache.stats()
-    assert stats.warm_attempts == 1
-    assert stats.warm_hits == 1, "neighbour basis was rejected"
-    assert warm_mech.metadata["lp_warm_started"] is True
-    cache.close()
-
-    # Cold reference: the same selector request with no registry in sight.
-    (cold_mech, _), cold_seconds = _timed(
-        lambda: choose_mechanism(
-            N_WARM, ALPHA + 0.02, properties="WH+CM", backend="simplex"
-        )
-    )
-
-    objective_diff = abs(
-        warm_mech.metadata["objective_value"] - cold_mech.metadata["objective_value"]
-    )
-    assert objective_diff <= OBJECTIVE_TOLERANCE, (
-        f"warm objective off the cold reference by {objective_diff:.2e}"
-    )
-    _assert_feasible(warm_mech.matrix)
-
-    speedup = cold_seconds / warm_seconds
-    record_case_metrics(
-        "test_simplex_warm_start_5x_faster_than_cold",
-        cold_solve_s=cold_seconds,
-        warm_solve_s=warm_seconds,
-        speedup_x=speedup,
-        objective_diff=objective_diff,
-    )
-    if not TINY:
-        assert speedup >= MIN_SPEEDUP, (
-            f"warm-started simplex only {speedup:.1f}x faster than cold "
-            f"({warm_seconds:.3f}s vs {cold_seconds:.3f}s)"
-        )
-
-
 def test_warmed_registry_restart_serves_grid_with_zero_lp_solves(tmp_path):
     """``repro warm`` then restart: every grid point compiles solve-free."""
     ns = [6] if TINY else [12, 16]
@@ -193,25 +119,3 @@ def test_warmed_registry_restart_serves_grid_with_zero_lp_solves(tmp_path):
         grid_serve_s=serve_seconds,
         lp_solves=lp_solves,
     )
-
-
-def test_no_warmstart_env_is_bit_identical_to_cold(tmp_path, monkeypatch):
-    """``REPRO_NO_WARMSTART=1`` keeps the cold path byte-for-byte intact."""
-    n = 6 if TINY else 8
-    cache = DesignCache(directory=tmp_path)
-    cache.get_or_design(n, ALPHA, properties="WH+CM", backend="simplex")
-
-    monkeypatch.setenv("REPRO_NO_WARMSTART", "1")
-    opted_out, _ = cache.get_or_design(
-        n, ALPHA + 0.02, properties="WH+CM", backend="simplex"
-    )
-    stats = cache.stats()
-    assert stats.warm_attempts == 0, "opt-out still attempted a warm start"
-    assert "lp_warm_started" not in opted_out.metadata
-    cache.close()
-
-    monkeypatch.delenv("REPRO_NO_WARMSTART")
-    reference, _ = choose_mechanism(
-        n, ALPHA + 0.02, properties="WH+CM", backend="simplex"
-    )
-    assert np.array_equal(opted_out.matrix, reference.matrix)

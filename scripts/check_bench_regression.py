@@ -255,13 +255,14 @@ def main(argv=None) -> int:
         "--suites",
         nargs="*",
         default=None,
-        help="restrict the check to these suite names (default: every baseline)",
+        help="restrict the check to these suite names, space- or "
+             "comma-separated (default: every baseline)",
     )
     args = parser.parse_args(argv)
 
     baseline_files = sorted(args.baselines.glob("BENCH_*.json"))
     if args.suites is not None:
-        wanted = set(args.suites)
+        wanted = {name for token in args.suites for name in token.split(",") if name}
         baseline_files = [
             p for p in baseline_files if p.stem[len("BENCH_") :] in wanted
         ]

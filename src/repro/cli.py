@@ -104,7 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also enforce output-side DP at this level (Section VI extension)")
     design.add_argument("--representation", choices=("dense", "sparse"), default="dense",
                         help="how to store an LP-designed mechanism (sparse = CSC non-zeros only)")
-    design.add_argument("--backend", choices=("scipy", "simplex"), default="scipy")
     design.add_argument("--heatmap", action="store_true", help="print an ASCII heatmap")
     design.add_argument("--matrix", action="store_true", help="print the full probability matrix")
     design.add_argument("--save", type=Path, default=None, help="write the mechanism to a JSON file")
@@ -115,7 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--n", type=int, required=True)
     compare.add_argument("--alpha", type=float, required=True)
     compare.add_argument("--heatmap", action="store_true")
-    compare.add_argument("--backend", choices=("scipy", "simplex"), default="scipy")
 
     release = subparsers.add_parser(
         "release", help="apply a mechanism to true counts and print the noisy counts"
@@ -161,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="directory for the on-disk design cache (shared across runs)")
     serve.add_argument("--cache-size", type=int, default=128,
                        help="in-memory LRU capacity of the design cache")
-    serve.add_argument("--backend", choices=("scipy", "simplex"), default="scipy")
     serve.add_argument("--budget-alpha", type=float, default=None,
                        help="guard the session with a privacy budget: refuse any "
                             "request that would push the composed guarantee below "
@@ -231,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="directory for the on-disk design cache (shared across runs)")
     stream.add_argument("--cache-size", type=int, default=128,
                         help="in-memory LRU capacity of the design cache")
-    stream.add_argument("--backend", choices=("scipy", "simplex"), default="scipy")
     stream.add_argument("--output", type=Path, default=None,
                         help="write released counts to this file instead of stdout "
                              "(chunk by chunk, so memory stays bounded); a .npy "
@@ -286,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     daemon.add_argument("--cache-size", type=int, default=128,
                         help="in-memory LRU capacity of the shared design cache "
                              "(also bounds the compiled-plans LRU)")
-    daemon.add_argument("--backend", choices=("scipy", "simplex"), default="scipy")
     daemon.add_argument("--state-dir", type=Path, default=None,
                         help="durable mode: journal every tenant's budget "
                              "charges (and refusals) to per-tenant ledgers "
@@ -341,11 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="grid axes as key=value tokens: n=8,16 alpha=0.9,0.95 "
                            "[props=WH+CM,...] (props defaults to WH+CM; 'none' "
                            "for the unconstrained LP)")
-    warm.add_argument("--backend", choices=("scipy", "simplex"), default="scipy",
-                      help="LP backend to precompile with; 'simplex' chains "
-                           "warm starts along each group's alpha axis")
     warm.add_argument("--workers", type=int, default=None,
-                      help="fan (n, props) groups out across this many worker "
+                      help="fan grid points out across this many worker "
                            "processes (default: in-process)")
     warm.add_argument("--stats-json", action="store_true",
                       help="emit the warm-run summary as one JSON object to stderr")
@@ -376,16 +368,13 @@ def _print_mechanism(mechanism: Mechanism, show_heatmap: bool, show_matrix: bool
 
 def _command_design(args: argparse.Namespace) -> int:
     if args.use_selector and args.output_alpha is None:
-        mechanism, decision = choose_mechanism(
-            args.n, args.alpha, properties=args.properties, backend=args.backend
-        )
+        mechanism, decision = choose_mechanism(args.n, args.alpha, properties=args.properties)
         print(decision.describe())
     else:
         mechanism = design_mechanism(
             args.n,
             args.alpha,
             properties=args.properties,
-            backend=args.backend,
             output_alpha=args.output_alpha,
             representation=args.representation,
         )
@@ -399,7 +388,7 @@ def _command_design(args: argparse.Namespace) -> int:
 def _command_compare(args: argparse.Namespace) -> int:
     from repro.mechanisms.registry import paper_mechanisms
 
-    mechanisms = paper_mechanisms(args.n, args.alpha, backend=args.backend)
+    mechanisms = paper_mechanisms(args.n, args.alpha)
     rows = []
     for mechanism in mechanisms:
         properties = check_all_properties(mechanism)
@@ -505,7 +494,7 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
     cache = DesignCache(capacity=args.cache_size, directory=args.cache_dir)
     rng = np.random.default_rng(args.seed)
     session = BatchReleaseSession(
-        cache=cache, rng=rng, backend=args.backend, budget_alpha=args.budget_alpha
+        cache=cache, rng=rng, budget_alpha=args.budget_alpha
     )
 
     if args.requests_file is not None:
@@ -663,7 +652,7 @@ def _command_serve_stream(args: argparse.Namespace) -> int:
     cache = DesignCache(capacity=args.cache_size, directory=args.cache_dir)
     try:
         plan = ReleasePlan.compile(
-            args.n, args.alpha, properties=args.properties, backend=args.backend, cache=cache
+            args.n, args.alpha, properties=args.properties, cache=cache
         )
     except ValueError as error:  # e.g. an unknown property code or bad alpha
         raise SystemExit(str(error))
@@ -682,7 +671,8 @@ def _command_serve_stream(args: argparse.Namespace) -> int:
                 sorted(p.value for p in parse_properties(args.properties))
             ) or "none",
             "chunk_size": int(args.chunk_size),
-            "backend": args.backend,
+            # Pinned by every ledger written so far; kept so they resume.
+            "backend": "scipy",
             "seed": args.seed,
             "output_format": "npy" if is_npy_path(args.output) else "text",
         }
@@ -887,7 +877,6 @@ def _command_serve(args: argparse.Namespace) -> int:
             seed=args.seed,
             cache_dir=args.cache_dir,
             cache_size=args.cache_size,
-            backend=args.backend,
             state_dir=args.state_dir,
             request_timeout=args.request_timeout,
             client_timeout=args.client_timeout,
@@ -946,17 +935,18 @@ def _command_warm(args: argparse.Namespace) -> int:
         axes = parse_grid(args.grid)
     except GridError as error:
         raise SystemExit(f"warm: {error}")
-    summary = warm_grid(
-        args.cache_dir,
-        ns=axes["n"],
-        alphas=axes["alpha"],
-        props_list=axes["props"],
-        backend=args.backend,
-        max_workers=args.workers,
-    )
+    try:
+        summary = warm_grid(
+            args.cache_dir,
+            ns=axes["n"],
+            alphas=axes["alpha"],
+            props_list=axes["props"],
+            max_workers=args.workers,
+        )
+    except ValueError as error:  # an unknown property code or bad alpha
+        raise SystemExit(f"warm: {error}")
     print(
-        f"warm: {summary['solved']} solved "
-        f"({summary['warm_started']} warm-started), "
+        f"warm: {summary['solved']} solved, "
         f"{summary['skipped']} already present, "
         f"{summary['registry_entries']} registry entries "
         f"in {summary['seconds']:.2f}s -> {args.cache_dir}"

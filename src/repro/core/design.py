@@ -3,8 +3,8 @@
 :func:`design_mechanism` is the workhorse of the reproduction: it builds the
 BASICDP linear program for a given group size and privacy level, adds any
 subset of the seven structural properties, installs the requested objective
-and solves the program with one of the LP backends, returning the optimal
-mechanism as a :class:`~repro.core.mechanism.Mechanism`.
+and solves the program with HiGHS, returning the optimal mechanism as a
+:class:`~repro.core.mechanism.Mechanism`.
 
 Setting ``properties=()`` reproduces the *unconstrained* designs of Figure 1
 (including their pathological gaps and spikes); ``properties="all"``
@@ -21,7 +21,7 @@ from repro.core.constraints import MechanismLP, build_mechanism_lp
 from repro.core.losses import Objective
 from repro.core.mechanism import Mechanism, SparseMechanism
 from repro.core.properties import StructuralProperty, combination_label, parse_properties
-from repro.lp.solver import DEFAULT_BACKEND, solve
+from repro.lp.solver import solve
 
 # Process-wide accumulators for LP wall-time, surfaced by the serving
 # layer's ``--stats-json`` / daemon ``stats`` payloads.  Guarded by a lock
@@ -65,11 +65,9 @@ def design_mechanism(
     alpha: float,
     properties: Union[None, str, Iterable[Union[str, StructuralProperty]]] = (),
     objective: Optional[Objective] = None,
-    backend: str = DEFAULT_BACKEND,
     name: Optional[str] = None,
     output_alpha: Optional[float] = None,
     representation: str = "dense",
-    warm_start: Optional[Sequence[int]] = None,
 ) -> Mechanism:
     """Solve for the optimal mechanism satisfying BASICDP plus the given properties.
 
@@ -88,8 +86,6 @@ def design_mechanism(
     objective:
         The loss to minimise; defaults to the paper's main objective
         :meth:`Objective.l0`.
-    backend:
-        ``"scipy"`` (default) or ``"simplex"``.
     name:
         Optional name for the resulting mechanism; auto-generated otherwise.
     output_alpha:
@@ -102,17 +98,12 @@ def design_mechanism(
         :class:`Mechanism`; ``"sparse"`` keeps only the non-zero entries in
         a :class:`~repro.core.mechanism.SparseMechanism` — LP optima are
         sparse/banded, so this is what the serving layer caches.
-    warm_start:
-        Optional standard-form simplex basis from a neighbouring design
-        (same ``n``/properties, nearby ``alpha``), forwarded to
-        :func:`repro.lp.solver.solve`.  Only the ``simplex`` backend uses
-        it; a stale basis falls back to the cold path automatically.
 
     Returns
     -------
     Mechanism
         The optimal constrained mechanism, with solve provenance recorded in
-        ``metadata`` (objective value, backend, property set, LP size).
+        ``metadata`` (objective value, property set, LP size).
     """
     objective = objective if objective is not None else Objective.l0()
     props = parse_properties(properties)
@@ -123,11 +114,9 @@ def design_mechanism(
     build_seconds = time.perf_counter() - build_start
     mechanism = solve_mechanism_lp(
         mechanism_lp,
-        backend=backend,
         name=name,
         build_seconds=build_seconds,
         representation=representation,
-        warm_start=warm_start,
     )
     if output_alpha is not None:
         mechanism.metadata["output_alpha"] = float(output_alpha)
@@ -136,11 +125,9 @@ def design_mechanism(
 
 def solve_mechanism_lp(
     mechanism_lp: MechanismLP,
-    backend: str = DEFAULT_BACKEND,
     name: Optional[str] = None,
     build_seconds: Optional[float] = None,
     representation: str = "dense",
-    warm_start: Optional[Sequence[int]] = None,
 ) -> Mechanism:
     """Solve an already-built :class:`MechanismLP` and wrap the result.
 
@@ -154,14 +141,13 @@ def solve_mechanism_lp(
     if representation not in ("dense", "sparse"):
         raise ValueError(f"unknown mechanism representation {representation!r}")
     solve_start = time.perf_counter()
-    solution = solve(mechanism_lp.program, backend=backend, warm_start=warm_start)
+    solution = solve(mechanism_lp.program)
     solve_seconds = time.perf_counter() - solve_start
     _record_lp_timing(build_seconds or 0.0, solve_seconds)
     label = combination_label(mechanism_lp.properties)
     mechanism_name = name or f"LP[{label}]"
     metadata = {
         "source": "lp",
-        "backend": backend,
         "representation": representation,
         "objective": mechanism_lp.objective.describe(),
         "objective_value": float(solution.objective),
@@ -174,12 +160,6 @@ def solve_mechanism_lp(
     }
     if build_seconds is not None:
         metadata["lp_build_seconds"] = float(build_seconds)
-    if solution.basis is not None:
-        # Standard-form optimal basis (simplex backend only): cached in the
-        # plan registry so neighbouring alphas can warm-start from it.
-        metadata["lp_basis"] = [int(i) for i in solution.basis]
-    if solution.warm_started:
-        metadata["lp_warm_started"] = True
     if representation == "sparse":
         csc = mechanism_lp.sparse_matrix_from_values(solution.values)
         metadata["nnz"] = int(csc.nnz)
@@ -192,7 +172,6 @@ def solve_mechanism_lp(
 
 def design_mechanisms(
     specs: Sequence[Mapping[str, Any]],
-    backend: str = DEFAULT_BACKEND,
     max_workers: Optional[int] = None,
 ) -> List[Mechanism]:
     """Design many mechanisms, optionally across worker processes.
@@ -206,8 +185,6 @@ def design_mechanisms(
     figure sweeps use every available core for their LP design stage.
     """
     tasks = [dict(spec) for spec in specs]
-    for task in tasks:
-        task.setdefault("backend", backend)
     if max_workers is None or int(max_workers) <= 1 or len(tasks) <= 1:
         return [design_mechanism(**task) for task in tasks]
     from concurrent.futures import ProcessPoolExecutor
@@ -226,7 +203,6 @@ def optimal_objective_value(
     alpha: float,
     properties: Union[None, str, Iterable[Union[str, StructuralProperty]]] = (),
     objective: Optional[Objective] = None,
-    backend: str = DEFAULT_BACKEND,
     output_alpha: Optional[float] = None,
 ) -> float:
     """The optimal objective value for a property set, without keeping the matrix.
@@ -241,5 +217,5 @@ def optimal_objective_value(
     mechanism_lp = build_mechanism_lp(
         n=n, alpha=alpha, properties=props, objective=objective, output_alpha=output_alpha
     )
-    solution = solve(mechanism_lp.program, backend=backend)
+    solution = solve(mechanism_lp.program)
     return float(solution.objective)

@@ -26,7 +26,7 @@ to solving the full LP directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional, Sequence, Tuple, Union
+from typing import FrozenSet, Iterable, Optional, Tuple, Union
 
 from repro.core.losses import Objective
 from repro.core.mechanism import Mechanism
@@ -37,7 +37,6 @@ from repro.core.properties import (
     parse_properties,
 )
 from repro.core.theory import gm_is_column_monotone, gm_is_weakly_honest
-from repro.lp.solver import DEFAULT_BACKEND
 
 
 #: Branch labels for SelectorDecision.branch.
@@ -162,10 +161,8 @@ def choose_mechanism(
     alpha: float,
     properties: Union[None, str, Iterable[Union[str, StructuralProperty]]] = (),
     objective: Optional[Objective] = None,
-    backend: str = DEFAULT_BACKEND,
     cache: Optional[object] = None,
     representation: str = "auto",
-    warm_start: Optional[Sequence[int]] = None,
 ) -> Tuple[Mechanism, SelectorDecision]:
     """Return the optimal mechanism for the requested properties plus the decision.
 
@@ -186,17 +183,12 @@ def choose_mechanism(
     so repeated designs skip both the flowchart and the LP solver; this is
     what high-volume callers (the serving layer, the ``serve-batch`` CLI)
     rely on.
-
-    ``warm_start`` (a standard-form simplex basis from a neighbouring
-    design) is forwarded to the LP branches; the closed-form branches and
-    the scipy backend ignore it.  It is only meaningful for direct calls —
-    when routing through a cache the cache itself decides warm-starting.
     """
     if representation not in ("auto", "dense", "sparse"):
         raise ValueError(f"unknown mechanism representation {representation!r}")
     if cache is not None:
         return cache.get_or_design(  # type: ignore[attr-defined]
-            n, alpha, properties=properties, objective=objective, backend=backend
+            n, alpha, properties=properties, objective=objective
         )
     # Imported here to avoid a circular import at package load time:
     # repro.mechanisms depends on repro.core.design.
@@ -216,9 +208,7 @@ def choose_mechanism(
             alpha,
             column_monotone=False,
             objective=objective,
-            backend=backend,
             representation=lp_representation,
-            warm_start=warm_start,
         )
     else:
         mechanism = weakly_honest_mechanism(
@@ -226,9 +216,7 @@ def choose_mechanism(
             alpha,
             column_monotone=True,
             objective=objective,
-            backend=backend,
             representation=lp_representation,
-            warm_start=warm_start,
         )
     mechanism.metadata["selector_branch"] = decision.branch
     mechanism.metadata["selector_reason"] = decision.reason

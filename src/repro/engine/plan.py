@@ -42,7 +42,6 @@ from repro.core.losses import Objective
 from repro.core.mechanism import Mechanism
 from repro.core.properties import StructuralProperty
 from repro.core.selector import SelectorDecision, choose_mechanism
-from repro.lp.solver import DEFAULT_BACKEND
 from repro.privacy import BudgetExceededError, PrivacyAccountant
 
 PropertiesLike = Union[None, str, Iterable[Union[str, StructuralProperty]]]
@@ -202,7 +201,6 @@ class ReleasePlan:
         alpha: float,
         properties: PropertiesLike = (),
         objective: Optional[Objective] = None,
-        backend: str = DEFAULT_BACKEND,
         cache: Optional[Any] = None,
         representation: str = "auto",
         postprocess: Optional[PostProcess] = None,
@@ -219,7 +217,6 @@ class ReleasePlan:
             alpha,
             properties=properties,
             objective=objective,
-            backend=backend,
             cache=cache,
             representation=representation,
         )
@@ -422,12 +419,7 @@ class ReleasePlan:
         from repro.serving.registry import parse_design_key
 
         fields = parse_design_key(self.key) or {}
-        descriptor: Dict[str, Any] = {"key": self.key}
-        descriptor.update(fields)
-        descriptor["warm_started"] = bool(
-            self.mechanism.metadata.get("lp_warm_started", False)
-        )
-        return descriptor
+        return {"key": self.key, **fields}
 
     def describe(self) -> str:
         """One-line summary used by the CLI's ``--stats`` output."""

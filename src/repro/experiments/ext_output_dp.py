@@ -39,7 +39,6 @@ DEFAULT_GROUP_SIZE = 8
 def run(
     alphas: Sequence[float] = DEFAULT_ALPHAS,
     n: int = DEFAULT_GROUP_SIZE,
-    backend: str = "scipy",
 ) -> ExperimentResult:
     """Sweep α and measure the L0 cost of the output-side DP constraint."""
     result = ExperimentResult(
@@ -48,18 +47,17 @@ def run(
         parameters={
             "alphas": [float(a) for a in alphas],
             "n": n,
-            "backend": backend,
         },
     )
     for alpha in alphas:
         gm = geometric_mechanism(n, alpha)
         em = explicit_fair_mechanism(n, alpha)
-        unconstrained = design_mechanism(n, alpha, properties=(), backend=backend)
+        unconstrained = design_mechanism(n, alpha, properties=())
         with_output_dp = design_mechanism(
-            n, alpha, properties=(), output_alpha=alpha, backend=backend
+            n, alpha, properties=(), output_alpha=alpha
         )
         fully_constrained = design_mechanism(
-            n, alpha, properties="all", output_alpha=alpha, backend=backend
+            n, alpha, properties="all", output_alpha=alpha
         )
         result.rows.append(
             {

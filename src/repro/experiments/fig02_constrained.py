@@ -36,14 +36,12 @@ def min_within_one_probability(mechanism: Mechanism) -> float:
 def run(
     alpha: float = FIGURE_ALPHA,
     cases: Optional[Sequence[Tuple[str, int, Objective]]] = None,
-    backend: str = "scipy",
     include_heatmaps: bool = True,
 ) -> ExperimentResult:
     """Solve the Figure-2 LPs (all seven properties) and report diagnostics."""
     result = fig01_unconstrained.run(
         alpha=alpha,
         cases=cases,
-        backend=backend,
         properties="all",
         include_heatmaps=include_heatmaps,
     )

@@ -54,9 +54,9 @@ def _classify(l0_value: float, n: int, alpha: float) -> str:
 
 
 def _evaluate_combination(
-    combination: Iterable[StructuralProperty], n: int, alpha: float, backend: str
+    combination: Iterable[StructuralProperty], n: int, alpha: float
 ) -> dict:
-    mechanism = design_mechanism(n=n, alpha=alpha, properties=combination, backend=backend)
+    mechanism = design_mechanism(n=n, alpha=alpha, properties=combination)
     value = l0_score(mechanism)
     has_column = bool(
         set(combination)
@@ -81,7 +81,6 @@ def run(
     alphas: Sequence[float] = DEFAULT_ALPHAS,
     panel_b_group_size: int = DEFAULT_PANEL_B_GROUP_SIZE,
     combinations: Optional[Sequence[Iterable[StructuralProperty]]] = None,
-    backend: str = "scipy",
     include_panel_b: bool = True,
 ) -> ExperimentResult:
     """Sweep the nine WH combinations over group size (panel a) and α (panel b)."""
@@ -99,18 +98,17 @@ def run(
             "panel_b_alphas": list(alphas) if include_panel_b else [],
             "panel_b_group_size": panel_b_group_size,
             "num_combinations": len(combos),
-            "backend": backend,
         },
     )
     for n in group_sizes:
         for combination in combos:
-            row = _evaluate_combination(combination, n, alpha, backend)
+            row = _evaluate_combination(combination, n, alpha)
             row["panel"] = "a"
             result.rows.append(row)
     if include_panel_b:
         for alpha_value in alphas:
             for combination in combos:
-                row = _evaluate_combination(combination, panel_b_group_size, alpha_value, backend)
+                row = _evaluate_combination(combination, panel_b_group_size, alpha_value)
                 row["panel"] = "b"
                 result.rows.append(row)
     return result

@@ -37,7 +37,6 @@ DEFAULT_GROUP_SIZES = (2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 24, 28, 32, 40)
 def run(
     alphas: Sequence[float] = DEFAULT_ALPHAS,
     group_sizes: Sequence[int] = DEFAULT_GROUP_SIZES,
-    backend: str = "scipy",
     include_wm: bool = True,
     wm_column_monotone: bool = False,
 ) -> ExperimentResult:
@@ -58,7 +57,6 @@ def run(
         parameters={
             "alphas": [float(a) for a in alphas],
             "group_sizes": list(group_sizes),
-            "backend": backend,
             "include_wm": include_wm,
             "wm_column_monotone": wm_column_monotone,
         },
@@ -73,7 +71,7 @@ def run(
             ]
             if include_wm:
                 wm = weakly_honest_mechanism(
-                    n, alpha, column_monotone=wm_column_monotone, backend=backend
+                    n, alpha, column_monotone=wm_column_monotone
                 )
                 entries.append(("WM", l0_score(wm), None))
             for name, measured, closed_form in entries:

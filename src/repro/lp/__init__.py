@@ -6,16 +6,13 @@ here, so this package provides an equivalent substrate:
 
 * :mod:`repro.lp.model` — a small modelling layer (:class:`LinearProgram`)
   for declaring variables, linear constraints and a linear objective.
-* :mod:`repro.lp.simplex` — a pure-NumPy two-phase dense simplex solver
-  (Bland's rule), useful for verification and for environments without
-  SciPy.
-* :mod:`repro.lp.scipy_backend` — a backend delegating to
-  ``scipy.optimize.linprog`` (HiGHS), the default for speed.
-* :mod:`repro.lp.solver` — backend dispatch and the :class:`LPSolution`
-  result type.
+* :mod:`repro.lp.scipy_backend` — the solver: ``scipy.optimize.linprog``
+  with HiGHS.
+* :mod:`repro.lp.solver` — :func:`solve`, the feasibility check and the
+  :class:`LPSolution` result type.
 
-The two backends solve identical programs; the test-suite cross-checks them
-against each other and against the paper's closed forms.
+The test-suite checks each optimum against the paper's closed forms and
+with a KKT optimality certificate built from the HiGHS dual values.
 """
 
 from repro.lp.model import (
@@ -35,7 +32,6 @@ from repro.lp.solver import (
     LPSolution,
     LPStatus,
     LPUnboundedError,
-    available_backends,
     solve,
 )
 
@@ -54,6 +50,5 @@ __all__ = [
     "LPSolution",
     "LPStatus",
     "LPUnboundedError",
-    "available_backends",
     "solve",
 ]

@@ -10,10 +10,10 @@ This module defines a small, explicit API for building linear programs:
 >>> lp.set_objective({x: 1.0, y: 1.0}, sense="max")
 
 The resulting :class:`LinearProgram` is solver-agnostic; it can be exported
-to dense matrix form (:meth:`LinearProgram.to_standard_arrays`) for the
-pure-NumPy simplex backend or to SciPy CSR form
-(:meth:`LinearProgram.to_sparse_arrays`) for HiGHS, and solved by any
-backend in :mod:`repro.lp.solver`.
+to SciPy CSR form (:meth:`LinearProgram.to_sparse_arrays`), which is what
+:func:`repro.lp.solver.solve` hands to HiGHS, or to dense matrix form
+(:meth:`LinearProgram.to_standard_arrays`), the reference the tests hold
+the sparse export to.
 
 Constraints can be added one at a time (:meth:`LinearProgram.add_constraint`,
 convenient for small models) or in vectorized batches of COO triplets
@@ -612,12 +612,12 @@ class LinearProgram:
         return int(self._gather_triplets()[2].shape[0])
 
     def to_standard_arrays(self) -> Dict[str, np.ndarray]:
-        """Export to the dense arrays used by the solver backends.
+        """Export to dense arrays (the reference for :meth:`to_sparse_arrays`).
 
         Returns a dict with keys ``c`` (minimisation objective), ``A_ub``,
         ``b_ub``, ``A_eq``, ``b_eq``, ``lower``, ``upper``.  ``>=``
         constraints are negated into ``<=`` form.  Maximisation objectives
-        are negated so that every backend minimises.
+        are negated so that the solver always minimises.
         """
         num_vars = self.num_variables
         c = self.objective_vector()
@@ -661,7 +661,7 @@ class LinearProgram:
         }
 
     def to_sparse_arrays(self) -> Dict[str, object]:
-        """Export to SciPy CSR form for sparse-aware backends (HiGHS).
+        """Export to SciPy CSR form, the form HiGHS consumes.
 
         Same keys and row ordering as :meth:`to_standard_arrays`, but
         ``A_ub`` and ``A_eq`` are ``scipy.sparse.csr_matrix`` instances, so

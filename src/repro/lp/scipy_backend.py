@@ -1,9 +1,7 @@
-"""SciPy (HiGHS) backend for the LP substrate.
+"""SciPy (HiGHS) solver for the LP substrate.
 
-This is the default backend: ``scipy.optimize.linprog`` with the HiGHS dual
-simplex is both faster and numerically more robust than the reference
-NumPy simplex in :mod:`repro.lp.simplex`, especially for the larger programs
-generated when the group size ``n`` reaches the tens.
+Every program is solved by ``scipy.optimize.linprog`` with HiGHS
+(``backend=scipy`` in the plan registry's design keys).
 
 ``A_ub`` and ``A_eq`` may be dense NumPy arrays or ``scipy.sparse`` matrices;
 sparse inputs are forwarded to HiGHS as-is, which is what lets the
@@ -46,15 +44,13 @@ def solve_general_form(
     b_eq: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
-    tolerance: float = 1e-9,
     max_iterations: Optional[int] = None,
 ) -> Dict[str, object]:
     """Solve a general-form LP with ``scipy.optimize.linprog`` (HiGHS).
 
     ``A_ub``/``A_eq`` may be dense arrays or ``scipy.sparse`` matrices.
     Returns a dict with keys ``status``, ``x``, ``objective``, ``iterations``
-    and ``message`` — the same vocabulary as the NumPy simplex backend so
-    :mod:`repro.lp.solver` can treat backends uniformly.
+    and ``message``; :mod:`repro.lp.solver` maps the status onto its errors.
     """
     bounds = list(zip(np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)))
     bounds = [

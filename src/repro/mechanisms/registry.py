@@ -102,15 +102,6 @@ def create_mechanism(name: str, n: int, alpha: float, **kwargs) -> Mechanism:
     return _FACTORIES[canonical_name(name)](n=n, alpha=alpha, **kwargs)
 
 
-def paper_mechanisms(n: int, alpha: float, backend: str = "scipy") -> List[Mechanism]:
-    """The four mechanisms of the paper's experiments (GM, WM, EM, UM), in order.
-
-    WM requires an LP solve; ``backend`` selects which LP backend performs it.
-    """
-    mechanisms: List[Mechanism] = []
-    for name in PAPER_MECHANISMS:
-        if name == "WM":
-            mechanisms.append(weakly_honest_mechanism(n=n, alpha=alpha, backend=backend))
-        else:
-            mechanisms.append(create_mechanism(name, n=n, alpha=alpha))
-    return mechanisms
+def paper_mechanisms(n: int, alpha: float) -> List[Mechanism]:
+    """The four mechanisms of the paper's experiments (GM, WM, EM, UM), in order."""
+    return [create_mechanism(name, n=n, alpha=alpha) for name in PAPER_MECHANISMS]

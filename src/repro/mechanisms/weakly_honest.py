@@ -17,13 +17,12 @@ flowchart:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.core.design import design_mechanism
 from repro.core.losses import Objective
 from repro.core.mechanism import Mechanism
 from repro.core.properties import StructuralProperty
-from repro.lp.solver import DEFAULT_BACKEND
 
 
 def weakly_honest_mechanism(
@@ -33,9 +32,7 @@ def weakly_honest_mechanism(
     row_monotone: bool = True,
     symmetric: bool = True,
     objective: Optional[Objective] = None,
-    backend: str = DEFAULT_BACKEND,
     representation: str = "dense",
-    warm_start: Optional[Sequence[int]] = None,
 ) -> Mechanism:
     """Solve the LP for the weakly honest mechanism WM.
 
@@ -54,14 +51,9 @@ def weakly_honest_mechanism(
         Include S, for the same reason.
     objective:
         Loss to minimise; defaults to ``L0``.
-    backend:
-        LP backend name.
     representation:
         ``"dense"`` or ``"sparse"`` (WM solutions are banded; the serving
         layer requests sparse storage).
-    warm_start:
-        Optional simplex basis from a neighbouring design, forwarded to
-        :func:`repro.core.design.design_mechanism`.
     """
     properties = {StructuralProperty.WEAK_HONESTY}
     if column_monotone:
@@ -75,10 +67,8 @@ def weakly_honest_mechanism(
         alpha=alpha,
         properties=properties,
         objective=objective,
-        backend=backend,
         name="WM" if column_monotone else "WM[WH]",
         representation=representation,
-        warm_start=warm_start,
     )
     mechanism.metadata["definition"] = (
         "weakly honest mechanism (LP with WH"

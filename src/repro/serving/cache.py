@@ -1,7 +1,7 @@
 """Memoising designed mechanisms so repeated requests skip the LP solver.
 
 A mechanism design is fully determined by the tuple ``(n, alpha, properties,
-objective, backend)``; nothing about the data enters the design.  Serving
+objective)``; nothing about the data enters the design.  Serving
 workloads therefore see a tiny set of distinct designs under a huge stream of
 requests, and the LP solve — milliseconds to seconds per design — is the
 entire marginal cost.  :class:`DesignCache` keys designs by the canonical
@@ -18,12 +18,7 @@ cache directory, safe for concurrent multi-process readers and a writer); a
 corrupt row (killed writer, bad disk) is treated as a cache miss: the
 design is re-solved and the bad row overwritten.  Legacy loose
 ``design-*.json`` directories are imported into the registry on first open.
-
-On a cold miss with the ``simplex`` backend, the cache additionally asks
-the registry for the *nearest cached neighbour* on the alpha axis and
-warm-starts the simplex from that neighbour's optimal basis — skipping
-phase 1 entirely when the basis is still feasible, with automatic fallback
-to the cold path otherwise (``REPRO_NO_WARMSTART=1`` disables this).
+A cold miss solves its LP from scratch with HiGHS.
 
 >>> from repro.serving import DesignCache
 >>> cache = DesignCache(capacity=64)
@@ -39,14 +34,13 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Optional, Tuple, Union
 
 from repro.core.losses import Objective
 from repro.core.mechanism import Mechanism
 from repro.core.properties import StructuralProperty, parse_properties
 from repro.core.selector import SelectorDecision
-from repro.lp.solver import DEFAULT_BACKEND, warm_start_enabled
-from repro.serving.registry import PlanRegistry, parse_design_key
+from repro.serving.registry import PlanRegistry
 
 PropertiesLike = Union[None, str, Iterable[Union[str, StructuralProperty]]]
 
@@ -66,15 +60,16 @@ def design_key(
     alpha: float,
     properties: PropertiesLike = (),
     objective: Optional[Objective] = None,
-    backend: str = DEFAULT_BACKEND,
 ) -> str:
     """Canonical cache key for a design request.
 
     Property sets are parsed and sorted so ``"WH+CM"``, ``"CM+WH"`` and the
-    equivalent enum collections all map to the same key.
+    equivalent enum collections all map to the same key.  The trailing
+    ``backend=scipy`` names the HiGHS solver; it is kept so registries
+    written by earlier builds keep hitting.
     """
     props = "+".join(sorted(p.value for p in parse_properties(properties))) or "none"
-    return f"n={int(n)}|alpha={repr(float(alpha))}|props={props}|obj={_objective_key(objective)}|backend={backend}"
+    return f"n={int(n)}|alpha={repr(float(alpha))}|props={props}|obj={_objective_key(objective)}|backend=scipy"
 
 
 @dataclass(frozen=True)
@@ -89,12 +84,6 @@ class CacheStats:
     #: Registry stores that failed (I/O error) and were swallowed; the
     #: in-memory tier keeps serving, so these are observability, not errors.
     disk_errors: int = 0
-    #: Cold simplex misses where a neighbour basis was found and tried.
-    warm_attempts: int = 0
-    #: Warm attempts whose basis was accepted (phase 1 skipped).
-    warm_hits: int = 0
-    #: Warm attempts that fell back to the cold two-phase path.
-    warm_fallbacks: int = 0
     #: Registry rows that failed checksum/shape verification and were
     #: dropped (each one became a miss and a re-solve).
     corrupt_rows: int = 0
@@ -166,9 +155,6 @@ class DesignCache:
         self._evictions = 0
         self._disk_hits = 0
         self._disk_errors = 0
-        self._warm_attempts = 0
-        self._warm_hits = 0
-        self._warm_fallbacks = 0
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -191,9 +177,6 @@ class DesignCache:
                 disk_hits=self._disk_hits,
                 size=len(self._entries),
                 disk_errors=self._disk_errors,
-                warm_attempts=self._warm_attempts,
-                warm_hits=self._warm_hits,
-                warm_fallbacks=self._warm_fallbacks,
                 corrupt_rows=self.registry.corrupt_rows if self.registry else 0,
                 imported_legacy=self.registry.imported_legacy if self.registry else 0,
             )
@@ -219,7 +202,6 @@ class DesignCache:
         alpha: float,
         properties: PropertiesLike = (),
         objective: Optional[Objective] = None,
-        backend: str = DEFAULT_BACKEND,
     ) -> Tuple[Mechanism, SelectorDecision]:
         """The cached equivalent of :func:`~repro.core.selector.choose_mechanism`.
 
@@ -231,7 +213,7 @@ class DesignCache:
         missing on the same key cannot race into two LP solves: the second
         thread blocks until the first has stored the entry, then hits it.
         """
-        key = design_key(n, alpha, properties, objective, backend)
+        key = design_key(n, alpha, properties, objective)
         with self._lock:
             entry = self._entries.get(key)
             source = "memory"
@@ -260,22 +242,9 @@ class DesignCache:
             self._misses += 1
             from repro.core.selector import choose_mechanism  # deferred: avoids import cycle
 
-            warm_basis = self._neighbour_basis(key, backend)
-            if warm_basis is not None:
-                self._warm_attempts += 1
             mechanism, decision = choose_mechanism(
-                n,
-                alpha,
-                properties=properties,
-                objective=objective,
-                backend=backend,
-                warm_start=warm_basis,
+                n, alpha, properties=properties, objective=objective
             )
-            if warm_basis is not None:
-                if mechanism.metadata.get("lp_warm_started"):
-                    self._warm_hits += 1
-                else:
-                    self._warm_fallbacks += 1
             entry = {
                 "key": key,
                 "mechanism": mechanism.to_dict(),
@@ -304,39 +273,6 @@ class DesignCache:
         mechanism.metadata["design_cache"] = source
         mechanism.metadata["design_cache_key"] = key
         return mechanism, _decision_from_dict(entry["decision"])
-
-    def _neighbour_basis(self, key: str, backend: str) -> Optional[List[int]]:
-        """Nearest-neighbour simplex basis for a cold miss, if usable.
-
-        Only the ``simplex`` backend has a basis interface; scipy rows
-        carry no ``lp_basis`` so they can never seed a warm start.  The
-        neighbour search is keyed on everything but alpha: a basis is
-        valid across alphas because ``to_standard_form`` gives every
-        ``(n, properties, objective)`` program the same column layout.
-        """
-        if self.registry is None or backend != "simplex" or not warm_start_enabled():
-            return None
-        fields = parse_design_key(key)
-        if fields is None:
-            return None
-        neighbour = self.registry.nearest(
-            fields["n"],
-            fields["props"],
-            fields["objective"],
-            fields["backend"],
-            fields["alpha"],
-            exclude_key=key,
-        )
-        if neighbour is None:
-            return None
-        metadata = neighbour[1].get("mechanism", {}).get("metadata", {})
-        basis = metadata.get("lp_basis")
-        if not basis:
-            return None
-        try:
-            return [int(i) for i in basis]
-        except (TypeError, ValueError):
-            return None
 
     def _load_from_disk(self, key: str) -> Optional[Dict[str, Any]]:
         """Read a registry entry; a corrupt row is dropped and is a miss.

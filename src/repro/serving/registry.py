@@ -16,12 +16,11 @@ store: a single WAL-mode sqlite file that is
   corrupt-file→miss→re-solve semantics of the old disk tier;
 * **versioned** — the schema version is pinned in a ``meta`` table; a
   registry written by a future incompatible version is refused loudly
-  (:class:`RegistryVersionError`) instead of being misread;
-* **indexed for warm-starting** — rows are keyed by the canonical design
-  key but also indexed on ``(n, props, objective, backend, alpha)`` so a
-  cold ``(n, alpha)`` miss can find its nearest cached neighbour on the
-  alpha axis and warm-start the simplex from that neighbour's optimal
-  basis (see :mod:`repro.lp.simplex`).
+  (:class:`RegistryVersionError`) instead of being misread.
+
+Rows are keyed by the canonical design key; its fields are also stored in
+their own columns (``n``, ``alpha``, ``props``, ``objective``, ``backend``,
+the last always ``"scipy"``) for inspection with plain sqlite tools.
 
 Legacy ``design-*.json`` files found next to the sqlite file are imported
 once, on first open (the loose files are left untouched), so existing
@@ -43,17 +42,13 @@ import sqlite3
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, Optional, Union
 
 #: Current schema version; bump on incompatible schema changes.
 SCHEMA_VERSION = 1
 
 #: Filename of the registry artifact inside a cache directory.
 REGISTRY_FILENAME = "registry.sqlite"
-
-#: How many nearest-neighbour candidate rows to inspect before giving up
-#: (a corrupt candidate is deleted and the next one tried).
-_NEIGHBOUR_CANDIDATES = 4
 
 
 class RegistryError(RuntimeError):
@@ -133,10 +128,6 @@ class PlanRegistry:
                     created REAL NOT NULL
                 )
                 """
-            )
-            self._conn.execute(
-                "CREATE INDEX IF NOT EXISTS idx_plans_point "
-                "ON plans (n, props, objective, backend, alpha)"
             )
             if row is None:
                 self._conn.execute(
@@ -226,46 +217,6 @@ class PlanRegistry:
         with self._lock:
             rows = self._conn.execute("SELECT key FROM plans ORDER BY key").fetchall()
         return iter([row[0] for row in rows])
-
-    def nearest(
-        self,
-        n: int,
-        props: str,
-        objective: str,
-        backend: str,
-        alpha: float,
-        exclude_key: Optional[str] = None,
-    ) -> Optional[Tuple[float, Dict[str, Any]]]:
-        """The cached neighbour closest to ``alpha`` on the same design axis.
-
-        Searches the ``(n, props, objective, backend)`` index for the row
-        whose ``alpha`` is nearest the requested one — the candidate whose
-        optimal basis the simplex warm-start tries first.  Corrupt
-        candidates are deleted and the next-nearest tried.  Returns
-        ``(neighbour_alpha, entry)`` or ``None``.
-        """
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT key, alpha, payload, checksum FROM plans "
-                "WHERE n = ? AND props = ? AND objective = ? AND backend = ? "
-                "AND key != ? ORDER BY ABS(alpha - ?) LIMIT ?",
-                (
-                    int(n),
-                    props,
-                    objective,
-                    backend,
-                    exclude_key or "",
-                    float(alpha),
-                    _NEIGHBOUR_CANDIDATES,
-                ),
-            ).fetchall()
-            for key, row_alpha, payload, checksum in rows:
-                entry = self._verify(key, payload, checksum)
-                if entry is None:
-                    self._drop_row(key)
-                    continue
-                return float(row_alpha), entry
-        return None
 
     def _verify(
         self, key: str, payload: str, checksum: str

@@ -37,7 +37,6 @@ from repro.core.losses import Objective
 from repro.core.mechanism import Mechanism
 from repro.core.properties import StructuralProperty
 from repro.engine.plan import ReleasePlan
-from repro.lp.solver import DEFAULT_BACKEND
 from repro.privacy import PrivacyAccountant
 from repro.serving.cache import DesignCache, design_key
 
@@ -111,8 +110,6 @@ class BatchReleaseSession:
         Shared generator for every draw the session makes.  Pass
         ``np.random.default_rng(seed)`` for reproducible releases; the
         default is a fresh unseeded generator.
-    backend:
-        LP backend used for designs the cache has not seen.
     accountant:
         Optional :class:`~repro.privacy.PrivacyAccountant` charged for every
         executed batch (sequential composition — conservative: successive
@@ -128,13 +125,11 @@ class BatchReleaseSession:
         self,
         cache: Optional[DesignCache] = None,
         rng: Optional[np.random.Generator] = None,
-        backend: str = DEFAULT_BACKEND,
         accountant: Optional[PrivacyAccountant] = None,
         budget_alpha: Optional[float] = None,
     ) -> None:
         self.cache = cache if cache is not None else DesignCache()
         self.rng = rng if rng is not None else np.random.default_rng()
-        self.backend = backend
         if budget_alpha is not None:
             if accountant is not None:
                 raise ValueError("pass either accountant or budget_alpha, not both")
@@ -163,9 +158,9 @@ class BatchReleaseSession:
         try:
             cached = self._key_memo.get(memo_key)
         except TypeError:
-            return design_key(n, alpha, properties, objective, self.backend)
+            return design_key(n, alpha, properties, objective)
         if cached is None:
-            cached = design_key(n, alpha, properties, objective, self.backend)
+            cached = design_key(n, alpha, properties, objective)
             if len(self._key_memo) >= self._key_memo_limit:
                 self._key_memo.clear()
             self._key_memo[memo_key] = cached
@@ -182,7 +177,7 @@ class BatchReleaseSession:
         plan = self._plans.get(key)
         if plan is None:
             mechanism, decision = self.cache.get_or_design(
-                n, alpha, properties=properties, objective=objective, backend=self.backend
+                n, alpha, properties=properties, objective=objective
             )
             # Compiling the plan runs the representation-aware sampling
             # warm-up eagerly: dense mechanisms precompute their (n+1)^2
@@ -304,7 +299,7 @@ class BatchReleaseSession:
             raise ValueError(
                 f"counts must lie in [0, {int(n)}]; got [{values.min()}, {values.max()}]"
             )
-        key = design_key(n, alpha, properties, objective, self.backend)
+        key = design_key(n, alpha, properties, objective)
         plan = self._plan(n, alpha, properties, objective, key)
         self._charge([(plan, f"{plan.mechanism.name} batch ({values.size} records)")])
         released = plan.execute(values, rng=self.rng)
@@ -322,7 +317,7 @@ class BatchReleaseSession:
         objective: Optional[Objective] = None,
     ) -> ReleasePlan:
         """The compiled :class:`~repro.engine.plan.ReleasePlan` for a request."""
-        key = design_key(n, alpha, properties, objective, self.backend)
+        key = design_key(n, alpha, properties, objective)
         return self._plan(n, alpha, properties, objective, key)
 
     def mechanism_for(

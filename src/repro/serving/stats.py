@@ -16,7 +16,6 @@ front-end served the traffic:
                  "budget_refusals": 0},
       "cache": {"hits": 0, "misses": 1, "hit_rate": 0.0, "disk_hits": 0,
                 "evictions": 0, "size": 1, "disk_errors": 0,
-                "warm_attempts": 0, "warm_hits": 0, "warm_fallbacks": 0,
                 "corrupt_rows": 0, "imported_legacy": 0,
                 "tiers": {"memory": 0, "registry": 0, "solve": 1}},
       "lp_solves": 0,
@@ -26,14 +25,11 @@ front-end served the traffic:
       "densifications": 0
     }
 
-The ``cache`` sub-object's registry keys: ``warm_attempts`` /
-``warm_hits`` / ``warm_fallbacks`` count cold simplex misses that tried a
-nearest-neighbour warm start, those whose basis was accepted (phase 1
-skipped), and those that fell back to the cold path; ``corrupt_rows``
-counts registry rows dropped on checksum/shape failure (each became a
-re-solve); ``imported_legacy`` counts loose ``design-*.json`` entries
-migrated on first open; ``tiers`` breaks requests down by serving tier
-(in-process ``memory``, persistent ``registry``, fresh LP ``solve``).
+The ``cache`` sub-object's registry keys: ``corrupt_rows`` counts registry
+rows dropped on checksum/shape failure (each became a re-solve);
+``imported_legacy`` counts loose ``design-*.json`` entries migrated on
+first open; ``tiers`` breaks requests down by serving tier (in-process
+``memory``, persistent ``registry``, fresh LP ``solve``).
 The top-level ``lp_build_seconds`` / ``lp_solve_seconds`` are cumulative
 process-wide LP wall-times from :func:`repro.core.design.lp_timing_totals`.
 
@@ -69,9 +65,6 @@ def cache_payload(stats: Optional[CacheStats]) -> Optional[Dict[str, Any]]:
         "evictions": int(stats.evictions),
         "size": int(stats.size),
         "disk_errors": int(stats.disk_errors),
-        "warm_attempts": int(stats.warm_attempts),
-        "warm_hits": int(stats.warm_hits),
-        "warm_fallbacks": int(stats.warm_fallbacks),
         "corrupt_rows": int(stats.corrupt_rows),
         "imported_legacy": int(stats.imported_legacy),
         "tiers": {key: int(value) for key, value in stats.tiers.items()},

@@ -7,20 +7,16 @@ started daemon (or any later process pointed at the same ``--cache-dir``)
 serves the whole grid with **zero LP solves**.
 
 The grid fans out process-parallel with the same worker discipline as the
-figure sweeps: one task per ``(n, properties)`` group, because points in a
-group share a standard-form layout and can chain LP warm starts — each
-alpha is solved from the previous alpha's optimal basis, so only the first
-point of a group pays a phase-1 solve.  Workers return plain entry dicts;
-the parent process is the registry's single writer.
+figure sweeps: one task per grid point, each a cold design.  Workers return
+plain entry dicts; the parent process is the registry's single writer.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.losses import Objective
-from repro.lp.solver import DEFAULT_BACKEND
 from repro.serving.cache import _decision_to_dict, design_key
 from repro.serving.registry import PlanRegistry
 
@@ -65,44 +61,20 @@ def parse_grid(tokens: Sequence[str]) -> Dict[str, List[Any]]:
     return axes
 
 
-def _warm_group_task(task: Mapping[str, Any]) -> List[Dict[str, Any]]:
-    """Solve one ``(n, props)`` group's alphas, chaining warm starts.
+def _design_point_task(task: Tuple[int, float, Optional[str], Optional[Objective]]) -> Dict[str, Any]:
+    """Design one grid point and return its registry entry.
 
-    Module-level so :func:`warm_grid` tasks can pickle.  Returns the entry
-    dicts in alpha order; the parent writes them into the registry.
+    Module-level so :func:`warm_grid` tasks can pickle.
     """
     from repro.core.selector import choose_mechanism
 
-    n = int(task["n"])
-    props = task["props"]
-    backend = task["backend"]
-    objective = task["objective"]
-    skip = set(task["skip"])
-    entries: List[Dict[str, Any]] = []
-    warm_basis: Optional[List[int]] = None
-    for alpha in sorted(task["alphas"]):
-        key = design_key(n, alpha, props, objective, backend)
-        if key in skip:
-            continue
-        mechanism, decision = choose_mechanism(
-            n,
-            alpha,
-            properties=None if props == "none" else props,
-            objective=objective,
-            backend=backend,
-            warm_start=warm_basis,
-        )
-        entries.append(
-            {
-                "key": key,
-                "mechanism": mechanism.to_dict(),
-                "decision": _decision_to_dict(decision),
-            }
-        )
-        basis = mechanism.metadata.get("lp_basis")
-        if basis:
-            warm_basis = [int(i) for i in basis]
-    return entries
+    n, alpha, props, objective = task
+    mechanism, decision = choose_mechanism(n, alpha, properties=props, objective=objective)
+    return {
+        "key": design_key(n, alpha, props, objective),
+        "mechanism": mechanism.to_dict(),
+        "decision": _decision_to_dict(decision),
+    }
 
 
 def warm_grid(
@@ -111,67 +83,39 @@ def warm_grid(
     alphas: Iterable[float],
     props_list: Iterable[str] = ("WH+CM",),
     objective: Optional[Objective] = None,
-    backend: str = DEFAULT_BACKEND,
     max_workers: Optional[int] = None,
 ) -> Dict[str, Any]:
     """Precompile a design grid into ``directory``'s plan registry.
 
     Points already present in the registry are skipped (warming is
     idempotent and incremental).  With ``max_workers`` unset or <= 1 every
-    group solves in-process; otherwise ``(n, props)`` groups fan out across
-    worker processes.  Returns a summary dict: total grid points, how many
-    were solved vs already present, and the wall time.
+    point solves in-process; otherwise the points fan out across worker
+    processes.  Returns a summary dict: total grid points, how many were
+    solved vs already present, and the wall time.
     """
-    ns = sorted({int(n) for n in ns})
-    alphas = sorted({float(a) for a in alphas})
-    props_list = list(dict.fromkeys(props_list))
+    points = [
+        (n, alpha, None if props == "none" else props, objective)
+        for n in sorted({int(n) for n in ns})
+        for props in dict.fromkeys(props_list)
+        for alpha in sorted({float(a) for a in alphas})
+    ]
     started = time.perf_counter()
     with PlanRegistry(directory) as registry:
-        tasks = []
-        total = 0
-        skipped = 0
-        for n in ns:
-            for props in props_list:
-                group_skip = []
-                for alpha in alphas:
-                    total += 1
-                    key = design_key(n, alpha, props, objective, backend)
-                    if key in registry:
-                        skipped += 1
-                        group_skip.append(key)
-                if len(group_skip) == len(alphas):
-                    continue
-                tasks.append(
-                    {
-                        "n": n,
-                        "props": props,
-                        "alphas": alphas,
-                        "objective": objective,
-                        "backend": backend,
-                        "skip": group_skip,
-                    }
-                )
+        tasks = [point for point in points if design_key(*point) not in registry]
         if max_workers is None or int(max_workers) <= 1 or len(tasks) <= 1:
-            results = [_warm_group_task(task) for task in tasks]
+            entries = [_design_point_task(task) for task in tasks]
         else:
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=int(max_workers)) as pool:
-                results = list(pool.map(_warm_group_task, tasks))
-        solved = 0
-        warm_started = 0
-        for entries in results:
-            for entry in entries:
-                registry.put(entry["key"], entry)
-                solved += 1
-                if entry["mechanism"].get("metadata", {}).get("lp_warm_started"):
-                    warm_started += 1
+                entries = list(pool.map(_design_point_task, tasks))
+        for entry in entries:
+            registry.put(entry["key"], entry)
         stored = len(registry)
     return {
-        "grid_points": total,
-        "solved": solved,
-        "skipped": skipped,
-        "warm_started": warm_started,
+        "grid_points": len(points),
+        "solved": len(entries),
+        "skipped": len(points) - len(tasks),
         "registry_entries": stored,
         "seconds": time.perf_counter() - started,
     }

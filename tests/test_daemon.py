@@ -154,7 +154,7 @@ class TestCoalescingIdentity:
         mechanism, decision = choose_mechanism(
             n, alpha, properties=properties, representation="dense"
         )
-        key = design_key(n, alpha, properties, None, "scipy")
+        key = design_key(n, alpha, properties)
         assert mechanism.representation == "dense"
 
         def plans():

@@ -315,7 +315,7 @@ class TestRestartRecovery:
         mechanism, decision = choose_mechanism(
             n, alpha, properties=properties, representation="dense"
         )
-        key = design_key(n, alpha, properties, None, "scipy")
+        key = design_key(n, alpha, properties)
 
         def plans():
             return {

@@ -2,8 +2,8 @@
 
 These cover the paper's structural theorems: the unconstrained L0 optimum is
 GM (Theorem 3), the fair optimum matches EM's cost (Theorem 4 / Lemma 4),
-constrained optima always satisfy their constraints, and the two LP backends
-agree.
+constrained optima always satisfy their constraints, and every optimum
+carries a KKT optimality certificate.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from lp_certificate import assert_certified_optimal
+from repro.core.constraints import build_mechanism_lp
 from repro.core.design import design_mechanism, design_mechanisms, optimal_objective_value
 from repro.core.losses import Objective, l0_score, l1_score
 from repro.core.properties import (
@@ -76,15 +78,27 @@ class TestConstrainedDesign:
         assert constrained.diagonal.min() > 0.01
 
 
-class TestBackendsAgree:
-    @pytest.mark.parametrize("properties", [(), "WH", "F", "WH+CM"])
-    def test_simplex_and_scipy_same_objective(self, properties):
-        scipy_value = optimal_objective_value(4, 0.75, properties=properties, backend="scipy")
-        simplex_value = optimal_objective_value(4, 0.75, properties=properties, backend="simplex")
-        assert scipy_value == pytest.approx(simplex_value, abs=1e-7)
+class TestOptimalityCertificate:
+    @pytest.mark.parametrize(
+        "n,alpha,properties",
+        [
+            (4, 0.75, ()),
+            (4, 0.75, "WH"),
+            (4, 0.75, "F"),
+            (4, 0.75, "WH+CM"),
+            (3, 0.9, "all"),
+            (6, 0.85, "all"),
+            (8, 0.6, "WH"),
+        ],
+    )
+    def test_optimum_is_certified(self, n, alpha, properties):
+        program = build_mechanism_lp(n=n, alpha=alpha, properties=properties).program
+        solution = assert_certified_optimal(program)
+        value = optimal_objective_value(n, alpha, properties=properties)
+        assert value == pytest.approx(solution.objective, abs=1e-9)
 
-    def test_simplex_backend_produces_valid_mechanism(self):
-        mechanism = design_mechanism(3, 0.9, properties="all", backend="simplex")
+    def test_fully_constrained_design_is_valid(self):
+        mechanism = design_mechanism(3, 0.9, properties="all")
         assert all(check_all_properties(mechanism, tolerance=1e-6).values())
         assert mechanism.max_alpha() >= 0.9 - 1e-6
 

@@ -335,7 +335,7 @@ class TestSessionParity:
         reference_rng = np.random.default_rng(55)
         buckets = {}
         for index, request in enumerate(requests):
-            key = repro.design_key(request.n, request.alpha, request.properties, None, "scipy")
+            key = repro.design_key(request.n, request.alpha, request.properties)
             buckets.setdefault(key, []).append(index)
         reference = [None] * len(requests)
         for key, indices in buckets.items():

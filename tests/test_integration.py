@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 import repro
+from lp_certificate import assert_certified_optimal
+from repro.core.constraints import build_mechanism_lp
 from repro.data.adult import generate_adult_like
 from repro.data.groups import group_counts
 from repro.data.synthetic import binomial_group_counts
@@ -108,20 +110,18 @@ class TestLocalDifferentialPrivacyScenario:
         assert np.allclose(lp.matrix, rr.matrix, atol=1e-7)
 
 
-class TestCrossBackendConsistency:
-    """The two LP backends must be interchangeable in the whole pipeline."""
+class TestCertifiedDesigns:
+    """Designs served by the pipeline are provably optimal and private."""
 
     @pytest.mark.parametrize("properties", ["WH", "WH+CM", "F"])
-    def test_backends_produce_equivalent_mechanisms(self, properties):
-        scipy_mechanism = repro.design_mechanism(4, 0.85, properties=properties, backend="scipy")
-        simplex_mechanism = repro.design_mechanism(
-            4, 0.85, properties=properties, backend="simplex"
+    def test_designed_mechanism_is_certified_optimal(self, properties):
+        program = build_mechanism_lp(n=4, alpha=0.85, properties=properties).program
+        solution = assert_certified_optimal(program)
+        mechanism = repro.design_mechanism(4, 0.85, properties=properties)
+        assert mechanism.metadata["objective_value"] == pytest.approx(
+            solution.objective, abs=1e-9
         )
-        assert repro.l0_score(scipy_mechanism) == pytest.approx(
-            repro.l0_score(simplex_mechanism), abs=1e-7
-        )
-        for mechanism in (scipy_mechanism, simplex_mechanism):
-            assert repro.satisfies_differential_privacy(mechanism, 0.85, tolerance=1e-6)
+        assert repro.satisfies_differential_privacy(mechanism, 0.85, tolerance=1e-6)
 
 
 class TestSerialisationWorkflow:

@@ -1,4 +1,4 @@
-"""The persistent plan registry: storage, recovery, concurrency, warm-starting.
+"""The persistent plan registry: storage, recovery, concurrency, compatibility.
 
 Covers the tentpole guarantees of :mod:`repro.serving.registry`:
 
@@ -8,27 +8,28 @@ Covers the tentpole guarantees of :mod:`repro.serving.registry`:
 * one-time import of legacy loose ``design-*.json`` directories;
 * concurrent multi-process readers during writes (WAL mode);
 * crash-mid-write atomicity via the existing ``FaultInjector`` sites;
-* the nearest-neighbour index behind LP warm-starting, and the
-  ``REPRO_NO_WARMSTART=1`` opt-out;
+* registries written by earlier builds keep serving with zero LP solves;
 * the ``repro-mechanisms warm`` grid precompiler and its zero-LP-solve
   serving guarantee after a process restart.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import multiprocessing
 import sqlite3
 
-import numpy as np
 import pytest
 
 from repro.cli import main
 from repro.engine import faults
 from repro.engine.faults import InjectedCrash
+from repro.core.selector import choose_mechanism
 from repro.engine.plan import ReleasePlan
 from repro.lp.solver import solve_call_count
 from repro.serving import DesignCache, PlanRegistry, design_key, warm_grid
+from repro.serving.cache import _decision_to_dict
 from repro.serving.registry import RegistryVersionError, parse_design_key
 from repro.serving.warm import GridError, parse_grid
 
@@ -118,12 +119,12 @@ class TestPlanRegistry:
 
 class TestParseDesignKey:
     def test_round_trip(self):
-        key = design_key(12, 0.925, properties="WH+CM", backend="simplex")
+        key = design_key(12, 0.925, properties="WH+CM")
         fields = parse_design_key(key)
         assert fields["n"] == 12
         assert fields["alpha"] == 0.925
         assert fields["props"] == "CM+WH"
-        assert fields["backend"] == "simplex"
+        assert fields["backend"] == "scipy"
 
     def test_garbage_is_none(self):
         assert parse_design_key("garbage") is None
@@ -241,78 +242,79 @@ class TestRegistryFaults:
             assert key not in registry
 
 
-class TestNearestNeighbour:
-    def test_nearest_on_the_alpha_axis(self, tmp_path):
-        with PlanRegistry(tmp_path) as registry:
-            for alpha in (0.5, 0.8, 0.95):
-                key = design_key(8, alpha, properties="WH+CM", backend="simplex")
-                registry.put(key, _entry(key, int(alpha * 100)))
-            hit = registry.nearest(8, "CM+WH", "L0-default", "simplex", 0.9)
-            assert hit is not None
-            neighbour_alpha, entry = hit
-            assert neighbour_alpha == 0.95
-            assert entry["mechanism"]["i"] == 95
-
-    def test_nearest_skips_corrupt_and_excluded(self, tmp_path):
-        with PlanRegistry(tmp_path) as registry:
-            near = design_key(8, 0.91, properties="WH+CM", backend="simplex")
-            far = design_key(8, 0.7, properties="WH+CM", backend="simplex")
-            registry.put(near, _entry(near, 91))
-            registry.put(far, _entry(far, 70))
-            registry.corrupt_row(near)
-            hit = registry.nearest(8, "CM+WH", "L0-default", "simplex", 0.9)
-            assert hit is not None and hit[0] == 0.7
-            assert registry.corrupt_rows == 1
-            # Excluding the only remaining row finds nothing.
-            assert (
-                registry.nearest(8, "CM+WH", "L0-default", "simplex", 0.9, exclude_key=far)
-                is None
-            )
-
-    def test_no_cross_group_neighbours(self, tmp_path):
-        with PlanRegistry(tmp_path) as registry:
-            other = design_key(16, 0.9, properties="WH+CM", backend="simplex")
-            registry.put(other, _entry(other))
-            assert registry.nearest(8, "CM+WH", "L0-default", "simplex", 0.9) is None
+#: The ``plans`` schema and index exactly as earlier builds created them.
+_PARENT_SCHEMA = (
+    "CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT)",
+    "CREATE TABLE plans (key TEXT PRIMARY KEY, n INTEGER NOT NULL, "
+    "alpha REAL NOT NULL, props TEXT NOT NULL, objective TEXT NOT NULL, "
+    "backend TEXT NOT NULL, payload TEXT NOT NULL, checksum TEXT NOT NULL, "
+    "created REAL NOT NULL)",
+    "CREATE INDEX idx_plans_point ON plans (n, props, objective, backend, alpha)",
+    "INSERT INTO meta VALUES ('schema_version', '1')",
+    "INSERT INTO meta VALUES ('legacy_import_done', '1700000000')",
+)
 
 
-class TestWarmStartingThroughCache:
-    def test_neighbour_warm_start_matches_cold_objective(self, tmp_path):
-        cache = DesignCache(directory=tmp_path)
-        seed, _ = cache.get_or_design(8, 0.9, properties="WH+CM", backend="simplex")
-        assert seed.metadata.get("lp_basis")  # basis persisted for neighbours
-        warm, _ = cache.get_or_design(8, 0.95, properties="WH+CM", backend="simplex")
-        stats = cache.stats()
-        assert stats.warm_attempts == 1
-        assert stats.warm_hits == 1
-        assert stats.warm_fallbacks == 0
-        assert warm.metadata.get("lp_warm_started") is True
+class TestEarlierRegistryCompatibility:
+    """A ``registry.sqlite`` written by an earlier build keeps hitting.
 
-        cold, _ = DesignCache().get_or_design(
-            8, 0.95, properties="WH+CM", backend="simplex"
+    Keys are literal strings, not :func:`design_key` output, so changing
+    the key format fails this test instead of silently missing every row
+    already on disk.
+    """
+
+    SCIPY_KEY = "n=6|alpha=0.9|props=CM+WH|obj=L0-default|backend=scipy"
+    SIMPLEX_KEY = "n=6|alpha=0.95|props=CM+WH|obj=L0-default|backend=simplex"
+
+    def _write_parent_registry(self, directory):
+        mechanism, decision = choose_mechanism(6, 0.9, properties="WH+CM")
+        scipy_payload = mechanism.to_dict()
+        # Solve provenance earlier builds recorded alongside the design.
+        scipy_payload["metadata"].update(
+            backend="scipy", lp_basis=[0, 1, 2], lp_warm_started=True
         )
-        assert warm.metadata["objective_value"] == pytest.approx(
-            cold.metadata["objective_value"], abs=1e-9
-        )
-        # The warm solution is a real mechanism: each input's output
-        # distribution (a column in this convention) sums to one.
-        matrix = np.asarray(warm.matrix, dtype=float)
-        assert np.all(matrix >= -1e-12)
-        np.testing.assert_allclose(matrix.sum(axis=0), 1.0, atol=1e-9)
+        simplex_payload = dict(scipy_payload, name="simplex-row")
+        rows = [
+            (self.SCIPY_KEY, 0.9, "scipy", scipy_payload),
+            (self.SIMPLEX_KEY, 0.95, "simplex", simplex_payload),
+        ]
+        directory.mkdir()
+        conn = sqlite3.connect(str(directory / "registry.sqlite"))
+        with conn:
+            for statement in _PARENT_SCHEMA:
+                conn.execute(statement)
+            for key, alpha, backend, payload in rows:
+                entry = json.dumps(
+                    {"key": key, "mechanism": payload, "decision": _decision_to_dict(decision)}
+                )
+                conn.execute(
+                    "INSERT INTO plans VALUES (?, 6, ?, 'CM+WH', 'L0-default', ?, ?, ?, 0.0)",
+                    (key, alpha, backend, entry, hashlib.sha256(entry.encode()).hexdigest()),
+                )
+        conn.close()
 
-    def test_scipy_rows_never_seed_warm_starts(self, tmp_path):
-        cache = DesignCache(directory=tmp_path)
-        cache.get_or_design(8, 0.9, properties="WH+CM", backend="scipy")
-        cache.get_or_design(8, 0.95, properties="WH+CM", backend="scipy")
-        stats = cache.stats()
-        assert stats.warm_attempts == 0  # no basis interface, no attempts
+    def test_scipy_row_serves_from_disk_without_solving(self, tmp_path):
+        directory = tmp_path / "registry"
+        self._write_parent_registry(directory)
+        cache = DesignCache(directory=directory)
+        before = solve_call_count()
+        mechanism, decision = cache.get_or_design(6, 0.9, properties="WH+CM")
+        assert solve_call_count() == before
+        assert mechanism.metadata["design_cache"] == "disk"
+        assert mechanism.metadata["design_cache_key"] == self.SCIPY_KEY
+        assert decision.n == 6
+        assert cache.stats().tiers == {"memory": 0, "registry": 1, "solve": 0}
 
-    def test_no_warmstart_env_disables_attempts(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_WARMSTART", "1")
-        cache = DesignCache(directory=tmp_path)
-        cache.get_or_design(8, 0.9, properties="WH+CM", backend="simplex")
-        cache.get_or_design(8, 0.95, properties="WH+CM", backend="simplex")
-        assert cache.stats().warm_attempts == 0
+    def test_simplex_row_is_never_returned(self, tmp_path):
+        directory = tmp_path / "registry"
+        self._write_parent_registry(directory)
+        cache = DesignCache(directory=directory)
+        before = solve_call_count()
+        mechanism, _ = cache.get_or_design(6, 0.95, properties="WH+CM")
+        assert solve_call_count() == before + 1
+        assert mechanism.metadata["design_cache"] == "solve"
+        assert mechanism.name != "simplex-row"
+        assert mechanism.metadata["design_cache_key"] != self.SIMPLEX_KEY
 
 
 class TestWarmGrid:
@@ -331,25 +333,41 @@ class TestWarmGrid:
             parse_grid(["n=eight", "alpha=0.9"])
 
     def test_warm_grid_fills_registry_and_is_idempotent(self, tmp_path):
-        summary = warm_grid(
-            tmp_path, ns=[6, 8], alphas=[0.9, 0.95], backend="simplex"
-        )
+        summary = warm_grid(tmp_path, ns=[6, 8], alphas=[0.9, 0.95])
         assert summary["grid_points"] == 4
         assert summary["solved"] == 4
         assert summary["skipped"] == 0
-        assert summary["warm_started"] >= 1  # alphas chain within a group
-        again = warm_grid(tmp_path, ns=[6, 8], alphas=[0.9, 0.95], backend="simplex")
+        assert "warm_started" not in summary
+        again = warm_grid(tmp_path, ns=[6, 8], alphas=[0.9, 0.95])
         assert again["solved"] == 0
         assert again["skipped"] == 4
 
+    def test_worker_processes_match_in_process(self, tmp_path):
+        grid = dict(ns=[6], alphas=[0.9, 0.95], props_list=("WH+CM", "none"))
+        serial = warm_grid(tmp_path / "serial", **grid)
+        parallel = warm_grid(tmp_path / "parallel", max_workers=2, **grid)
+        assert serial["solved"] == parallel["solved"] == 4
+
+        def designs(directory):
+            with PlanRegistry(directory) as registry:
+                return {
+                    key: {k: v for k, v in registry.get(key)["mechanism"].items() if k != "metadata"}
+                    for key in registry.keys()
+                }
+
+        assert designs(tmp_path / "serial") == designs(tmp_path / "parallel")
+        assert design_key(6, 0.9) in designs(tmp_path / "serial")  # props=none
+
+    def test_warm_cli_unknown_property_exits_cleanly(self, tmp_path):
+        with pytest.raises(SystemExit, match="unknown structural property"):
+            main(["warm", "--cache-dir", str(tmp_path), "--grid", "n=6", "alpha=0.9", "props=BOGUS"])
+
     def test_warmed_registry_serves_with_zero_solves(self, tmp_path):
-        warm_grid(tmp_path, ns=[6], alphas=[0.9, 0.95], backend="simplex")
+        warm_grid(tmp_path, ns=[6], alphas=[0.9, 0.95])
         cache = DesignCache(directory=tmp_path)
         before = solve_call_count()
         for alpha in (0.9, 0.95):
-            plan = ReleasePlan.compile(
-                6, alpha, properties="WH+CM", backend="simplex", cache=cache
-            )
+            plan = ReleasePlan.compile(6, alpha, properties="WH+CM", cache=cache)
             descriptor = plan.descriptor()
             assert descriptor["n"] == 6
             assert descriptor["alpha"] == alpha
@@ -366,8 +384,6 @@ class TestWarmGrid:
                 "n=6",
                 "alpha=0.9,0.95",
                 "props=WH+CM",
-                "--backend",
-                "simplex",
                 "--stats-json",
             ]
         )

@@ -344,7 +344,6 @@ class TestLPSolutionSerialisation:
         payload = json.loads(json.dumps(solution.to_dict()))
         restored = LPSolution.from_dict(payload)
         assert restored.status == solution.status
-        assert restored.backend == solution.backend
         assert restored.objective == pytest.approx(solution.objective)
         assert np.allclose(restored.values, solution.values)
         assert restored.by_name == pytest.approx(solution.by_name)

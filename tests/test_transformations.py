@@ -100,6 +100,10 @@ class TestOptimalRemap:
         with pytest.raises(ValueError):
             optimal_remap(geometric_mechanism(3, 0.5), objective=Objective.minimax())
 
-    def test_simplex_backend_supported(self):
-        remap = optimal_remap(geometric_mechanism(3, 0.7), backend="simplex")
+    def test_remap_is_certified_optimal(self, monkeypatch):
+        import repro.core.transformations as transformations
+        from lp_certificate import assert_certified_optimal
+
+        monkeypatch.setattr(transformations, "solve", assert_certified_optimal)
+        remap = optimal_remap(geometric_mechanism(3, 0.7))
         assert np.allclose(remap.sum(axis=0), 1.0)

@@ -92,7 +92,10 @@ class TestWeaklyHonestMechanism:
         assert not is_weakly_honest(gm)
         assert is_weakly_honest(wm, tolerance=1e-6)
 
-    def test_simplex_backend_agrees_with_scipy(self):
-        scipy_wm = weakly_honest_mechanism(4, 0.85, backend="scipy")
-        simplex_wm = weakly_honest_mechanism(4, 0.85, backend="simplex")
-        assert l0_score(scipy_wm) == pytest.approx(l0_score(simplex_wm), abs=1e-7)
+    def test_wm_is_certified_optimal(self, monkeypatch):
+        import repro.core.design as design
+        from lp_certificate import assert_certified_optimal
+
+        monkeypatch.setattr(design, "solve", assert_certified_optimal)
+        wm = weakly_honest_mechanism(4, 0.85)
+        assert wm.metadata["properties"] == ["CM", "RM", "S", "WH"]
