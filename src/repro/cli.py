@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="directory for the on-disk design cache (shared across runs)")
     daemon.add_argument("--cache-size", type=int, default=128,
                         help="in-memory LRU capacity of the shared design cache "
-                             "(also bounds the compiled-plans LRU)")
+                             "(designs and their compiled plans)")
     daemon.add_argument("--state-dir", type=Path, default=None,
                         help="durable mode: journal every tenant's budget "
                              "charges (and refusals) to per-tenant ledgers "
@@ -367,17 +367,20 @@ def _print_mechanism(mechanism: Mechanism, show_heatmap: bool, show_matrix: bool
 
 
 def _command_design(args: argparse.Namespace) -> int:
-    if args.use_selector and args.output_alpha is None:
-        mechanism, decision = choose_mechanism(args.n, args.alpha, properties=args.properties)
-        print(decision.describe())
-    else:
-        mechanism = design_mechanism(
-            args.n,
-            args.alpha,
-            properties=args.properties,
-            output_alpha=args.output_alpha,
-            representation=args.representation,
-        )
+    try:
+        if args.use_selector and args.output_alpha is None:
+            mechanism, decision = choose_mechanism(args.n, args.alpha, properties=args.properties)
+            print(decision.describe())
+        else:
+            mechanism = design_mechanism(
+                args.n,
+                args.alpha,
+                properties=args.properties,
+                output_alpha=args.output_alpha,
+                representation=args.representation,
+            )
+    except ValueError as error:  # an unknown property code or bad alpha
+        raise SystemExit(str(error))
     _print_mechanism(mechanism, args.heatmap, args.matrix)
     if args.save is not None:
         args.save.write_text(mechanism.to_json())
@@ -388,7 +391,10 @@ def _command_design(args: argparse.Namespace) -> int:
 def _command_compare(args: argparse.Namespace) -> int:
     from repro.mechanisms.registry import paper_mechanisms
 
-    mechanisms = paper_mechanisms(args.n, args.alpha)
+    try:
+        mechanisms = paper_mechanisms(args.n, args.alpha)
+    except ValueError as error:  # bad n or alpha
+        raise SystemExit(str(error))
     rows = []
     for mechanism in mechanisms:
         properties = check_all_properties(mechanism)
@@ -421,12 +427,22 @@ def _load_counts(args: argparse.Namespace) -> np.ndarray:
 
 
 def _command_release(args: argparse.Namespace) -> int:
+    from repro.engine.plan import ReleasePlan
+
     if args.load is not None:
-        mechanism = Mechanism.from_json(args.load.read_text())
+        try:
+            mechanism = Mechanism.from_json(args.load.read_text())
+        except OSError as error:
+            raise SystemExit(f"cannot read {args.load}: {error.strerror or error}")
+        except ValueError as error:  # not a saved mechanism
+            raise SystemExit(f"{args.load}: {error}")
     else:
         if args.n is None or args.alpha is None:
             raise SystemExit("--n and --alpha are required unless --load is given")
-        mechanism = create_mechanism(args.mechanism, n=args.n, alpha=args.alpha)
+        try:
+            mechanism = create_mechanism(args.mechanism, n=args.n, alpha=args.alpha)
+        except (KeyError, ValueError) as error:  # unknown name, bad n or alpha
+            raise SystemExit(error.args[0])
     counts = _load_counts(args)
     if counts.size == 0:
         raise SystemExit("no counts supplied")
@@ -435,9 +451,8 @@ def _command_release(args: argparse.Namespace) -> int:
             f"counts must lie in [0, {mechanism.n}] for this mechanism; got "
             f"[{counts.min()}, {counts.max()}]"
         )
-    rng = np.random.default_rng(args.seed)
-    released = mechanism.apply(counts, rng=rng)
-    released = np.atleast_1d(released)
+    plan = ReleasePlan.from_mechanism(mechanism)
+    released = plan.execute(counts, rng=np.random.default_rng(args.seed))
     if args.output is not None:
         args.output.write_text("\n".join(str(int(v)) for v in released) + "\n")
         print(f"wrote {released.size} released counts to {args.output}")
@@ -483,14 +498,12 @@ def _parse_request_rows(path: Path) -> List["ReleaseRequest"]:
 
 
 def _command_serve_batch(args: argparse.Namespace) -> int:
-    from repro.engine.plan import ReleasePlan
     from repro.lp.solver import solve_call_count
     from repro.privacy import BudgetExceededError
     from repro.serving import BatchReleaseSession, DesignCache
 
     solves_before = solve_call_count()
     densifications_before = Mechanism.densifications
-    compilations_before = ReleasePlan.compilations
     cache = DesignCache(capacity=args.cache_size, directory=args.cache_dir)
     rng = np.random.default_rng(args.seed)
     session = BatchReleaseSession(
@@ -564,7 +577,6 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
                     accountant=session.accountant,
                     budget_refusals=session.stats.budget_refusals,
                     lp_solves=solve_call_count() - solves_before,
-                    plans_compiled=ReleasePlan.compilations - compilations_before,
                     densifications=Mechanism.densifications - densifications_before,
                 )
             ),
@@ -832,7 +844,6 @@ def _command_serve_stream(args: argparse.Namespace) -> int:
                     accountant=executor.accountant,
                     budget_refusals=1 if status == 1 else 0,
                     lp_solves=solve_call_count() - solves_before,
-                    plans_compiled=1,
                     densifications=Mechanism.densifications - densifications_before,
                 )
             ),

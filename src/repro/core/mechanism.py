@@ -688,7 +688,10 @@ class Mechanism:
             while len(cache) > self.CDF_CACHE_COLUMNS:
                 cache.popitem(last=False)
         else:
-            cache.move_to_end(j)
+            try:
+                cache.move_to_end(j)
+            except KeyError:  # evicted by a concurrent sampler of a shared plan
+                pass
         return cdf
 
     def _sample_by_columns(self, counts: np.ndarray, uniforms: np.ndarray) -> np.ndarray:

@@ -161,7 +161,6 @@ def choose_mechanism(
     alpha: float,
     properties: Union[None, str, Iterable[Union[str, StructuralProperty]]] = (),
     objective: Optional[Objective] = None,
-    cache: Optional[object] = None,
     representation: str = "auto",
 ) -> Tuple[Mechanism, SelectorDecision]:
     """Return the optimal mechanism for the requested properties plus the decision.
@@ -177,19 +176,9 @@ def choose_mechanism(
     returned mechanism always satisfies every requested property and is
     ``L0``-optimal among mechanisms that do (the structural results of
     Section IV-D).
-
-    When ``cache`` is a :class:`~repro.serving.cache.DesignCache` (anything
-    with a ``get_or_design`` method works), the request is routed through it
-    so repeated designs skip both the flowchart and the LP solver; this is
-    what high-volume callers (the serving layer, the ``serve-batch`` CLI)
-    rely on.
     """
     if representation not in ("auto", "dense", "sparse"):
         raise ValueError(f"unknown mechanism representation {representation!r}")
-    if cache is not None:
-        return cache.get_or_design(  # type: ignore[attr-defined]
-            n, alpha, properties=properties, objective=objective
-        )
     # Imported here to avoid a circular import at package load time:
     # repro.mechanisms depends on repro.core.design.
     from repro.mechanisms.fair import explicit_fair_mechanism

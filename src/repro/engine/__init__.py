@@ -7,9 +7,9 @@ implementation:
 
 * :class:`~repro.engine.plan.ReleasePlan` — a compiled, reusable release
   recipe: resolved mechanism + eagerly-prepared sampling state + privacy
-  cost + optional post-processing hooks.  Built by
-  :meth:`~repro.engine.plan.ReleasePlan.compile` (design request, optionally
-  through a :class:`~repro.serving.cache.DesignCache`) or
+  cost + optional post-processing hook.  Built by
+  :meth:`~repro.engine.plan.ReleasePlan.compile` (design request; with a
+  :class:`~repro.serving.cache.DesignCache`, the cache's shared plan) or
   :meth:`~repro.engine.plan.ReleasePlan.from_mechanism`.
 * :class:`~repro.engine.executor.StreamExecutor` — runs a plan over an
   arbitrary count stream in fixed-size chunks with bounded memory,

@@ -1,40 +1,33 @@
 """Compiled release plans: design once, release forever.
 
-Every workflow in this library has the same two-phase shape the paper
-prescribes — *design* a constrained mechanism once (an LP solve or a closed
-form), then *apply* it to many counts.  Before this module the apply phase
-was re-implemented by each caller (the serving session, the histogram
-releaser, the empirical evaluator, the experiment runners), each resolving
-the mechanism, warming its sampling state and post-processing its output in
-its own way.
-
-:class:`ReleasePlan` is the compiled artifact those callers now share.  A
-plan owns
+Every workflow here has the two-phase shape the paper prescribes — *design*
+a constrained mechanism once (an LP solve or a closed form), then *apply*
+it to many counts.  :class:`ReleasePlan` is the compiled artifact of the
+first phase that every caller of the second shares.  A plan owns
 
 * the **resolved mechanism** (any representation — dense, closed-form or
   sparse) plus the :class:`~repro.core.selector.SelectorDecision` that
   produced it when known;
 * **eagerly prepared sampling state** — :meth:`prepare` runs the
-  representation-appropriate warm-up (the dense backend's ``(n + 1)^2``
-  column-CDF table via :meth:`~repro.core.mechanism.Mechanism
-  .prepare_sampling`; closed forms and sparse mechanisms warm per-column
-  caches lazily by design);
+  representation's warm-up (:meth:`~repro.core.mechanism.Mechanism
+  .prepare_sampling`);
 * **privacy metadata** — :attr:`alpha_cost`, the α charged against a
   :class:`~repro.privacy.PrivacyAccountant` per executed release;
-* an optional **post-processing hook** applied to every released array
-  (e.g. the estimation utilities of :mod:`repro.eval.estimation` or
-  histogram prefix sums), plus convenience estimators.
+* an optional **post-processing hook** applied to every released array,
+  for plans wrapped with :meth:`from_mechanism`.
 
-Plans are cheap, picklable (their mechanisms are) and reusable: compile one
-per distinct design request and execute it as many times as traffic
-demands, either directly (:meth:`execute` / :meth:`execute_tiled` /
-:meth:`evaluate`) or through a :class:`~repro.engine.executor
+:meth:`ReleasePlan.compile` is the one place a design request becomes a
+plan.  Given a :class:`~repro.serving.cache.DesignCache` it returns the
+cache's shared plan for the request on every call until the entry is
+evicted, so the daemon, batch sessions, the CLI and library callers all
+execute the same object — directly (:meth:`execute` /
+:meth:`execute_tiled`) or through a :class:`~repro.engine.executor
 .StreamExecutor` for chunked, budget-guarded streams.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -127,8 +120,8 @@ class ReleasePlan:
     """A compiled, reusable recipe for releasing counts through one design.
 
     Build one with :meth:`compile` (resolve a ``(n, alpha, properties,
-    objective)`` design request, optionally through a
-    :class:`~repro.serving.cache.DesignCache`) or :meth:`from_mechanism`
+    objective)`` design request, optionally through the shared plan tier of
+    a :class:`~repro.serving.cache.DesignCache`) or :meth:`from_mechanism`
     (wrap an already-built mechanism).  Construction eagerly prepares the
     representation's sampling state, so the first executed batch pays no
     warm-up cost.
@@ -202,31 +195,29 @@ class ReleasePlan:
         properties: PropertiesLike = (),
         objective: Optional[Objective] = None,
         cache: Optional[Any] = None,
-        representation: str = "auto",
-        postprocess: Optional[PostProcess] = None,
     ) -> "ReleasePlan":
         """Resolve a design request into an executable plan.
 
-        The Figure-5 selector answers the request (through ``cache`` when
-        one is supplied, so repeated compilations never re-solve an LP) and
-        the resulting mechanism is wrapped with its decision, design-cache
-        key and per-release α cost.
+        The Figure-5 selector answers the request and the resulting
+        mechanism is wrapped with its decision, design-cache key and
+        per-release α cost.  With a :class:`~repro.serving.cache.DesignCache`
+        the cache's shared plan for the request is returned instead, built
+        here only on a plan miss (:meth:`~repro.serving.cache.DesignCache
+        .get_or_compile`), so repeated compilations neither re-solve an LP
+        nor rebuild the mechanism.
         """
-        mechanism, decision = choose_mechanism(
-            n,
-            alpha,
-            properties=properties,
-            objective=objective,
-            cache=cache,
-            representation=representation,
-        )
-        return cls(
-            mechanism,
-            decision=decision,
-            alpha_cost=float(alpha),
-            postprocess=postprocess,
-            key=mechanism.metadata.get("design_cache_key"),
-        )
+
+        def build(mechanism: Mechanism, decision: SelectorDecision) -> "ReleasePlan":
+            return cls(
+                mechanism,
+                decision=decision,
+                alpha_cost=float(alpha),
+                key=mechanism.metadata.get("design_cache_key"),
+            )
+
+        if cache is not None:
+            return cache.get_or_compile(n, alpha, properties, objective, build)
+        return build(*choose_mechanism(n, alpha, properties=properties, objective=objective))
 
     @classmethod
     def from_mechanism(
@@ -329,32 +320,6 @@ class ReleasePlan:
             released = np.asarray(self.postprocess(released))
         return released
 
-    def evaluate(
-        self,
-        data,
-        group_size: Optional[int] = None,
-        repetitions: int = 30,
-        metrics=None,
-        rng: Optional[np.random.Generator] = None,
-        seed: Optional[int] = None,
-    ):
-        """Empirically evaluate the plan's mechanism on a workload.
-
-        Thin adapter over :func:`repro.eval.empirical.evaluate_mechanism`
-        (deferred import — the evaluator itself draws through this plan).
-        """
-        from repro.eval.empirical import evaluate_mechanism
-
-        return evaluate_mechanism(
-            self,
-            data,
-            group_size=group_size,
-            repetitions=repetitions,
-            metrics=metrics,
-            rng=rng,
-            seed=seed,
-        )
-
     def charge(
         self,
         accountant: Optional[PrivacyAccountant],
@@ -374,53 +339,8 @@ class ReleasePlan:
         )
 
     # ------------------------------------------------------------------ #
-    # Estimation conveniences (the "downstream processing" hooks)
-    # ------------------------------------------------------------------ #
-    def estimate_true_histogram(self, released_counts, method: str = "least_squares") -> np.ndarray:
-        """Invert the mechanism on released counts (see :mod:`repro.eval.estimation`)."""
-        from repro.eval.estimation import estimate_true_histogram
-
-        return estimate_true_histogram(self.mechanism, released_counts, method=method)
-
-    def debias_released_mean(self, released_counts) -> float:
-        """Bias-corrected mean true count from released counts."""
-        from repro.eval.estimation import debias_released_mean
-
-        return debias_released_mean(self.mechanism, released_counts)
-
-    # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-    def stats(self) -> Dict[str, Any]:
-        """Plan-level execution counters and design provenance."""
-        return {
-            "mechanism": self.mechanism.name,
-            "representation": self.mechanism.representation,
-            "n": self.n,
-            "branch": self.branch,
-            "alpha_cost": self.alpha_cost,
-            "prepared": self.prepared,
-            "executions": self.executions,
-            "records_released": self.records_released,
-            "storage_bytes": self.mechanism.storage_bytes(),
-        }
-
-    def descriptor(self) -> Dict[str, Any]:
-        """The plan's identity as a plan-registry row (indexed columns).
-
-        Mirrors :func:`repro.serving.registry.parse_design_key` applied to
-        the plan's design-cache key, so a plan can be matched to — or looked
-        up in — a :class:`~repro.serving.registry.PlanRegistry` without
-        reconstructing the request.  ``None`` when the plan was built from a
-        bare mechanism with no cache key (nothing to look up).
-        """
-        if self.key is None:
-            return {"key": None}
-        from repro.serving.registry import parse_design_key
-
-        fields = parse_design_key(self.key) or {}
-        return {"key": self.key, **fields}
-
     def describe(self) -> str:
         """One-line summary used by the CLI's ``--stats`` output."""
         return (

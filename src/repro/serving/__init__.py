@@ -6,9 +6,10 @@ scratch; ``Mechanism.sample`` draws one noisy count.  Production traffic —
 many users, many groups, a handful of distinct ``(n, alpha, properties)``
 configurations — needs neither repeated: this package adds
 
-* :class:`~repro.serving.cache.DesignCache` — an LRU memo of designed
-  mechanisms keyed by the full design request, so repeated requests never
-  touch the LP solver; its persistent tier is
+* :class:`~repro.serving.cache.DesignCache` — the plan tier: one LRU of
+  designs and their compiled :class:`~repro.engine.plan.ReleasePlan`
+  objects keyed by the full design request, so repeated requests never
+  touch the LP solver or rebuild a plan; its persistent tier is
 * :class:`~repro.serving.registry.PlanRegistry` — one WAL-mode sqlite
   artifact store per cache directory, safe for concurrent multi-process
   readers and a writer, with per-row checksums and schema versioning;
@@ -16,8 +17,8 @@ configurations — needs neither repeated: this package adds
   behind ``repro-mechanisms warm``, which fills a registry so a freshly
   started daemon serves every grid point with zero LP solves;
 * :class:`~repro.serving.session.BatchReleaseSession` — routes mixed streams
-  of ``(group, count, design request)`` records through the cache into
-  compiled :class:`~repro.engine.plan.ReleasePlan` executions, optionally
+  of ``(group, count, design request)`` records through the cache's shared
+  plans, optionally
   guarded by a :class:`~repro.privacy.PrivacyAccountant` budget;
 * :class:`~repro.serving.session.ReleaseRequest` /
   :class:`~repro.serving.session.ReleasedCount` — the record types of that
@@ -25,7 +26,7 @@ configurations — needs neither repeated: this package adds
 * :class:`~repro.serving.daemon.ServingDaemon` — the long-lived asyncio
   front-end (``repro-mechanisms serve``): per-tenant
   :class:`~repro.privacy.PrivacyAccountant` sessions over one shared
-  cache/plans-LRU, with a coalescing batcher that merges same-plan
+  plan tier, with a coalescing batcher that merges same-plan
   requests from different tenants into single vectorised draws while
   staying bit-identical to per-request serving — with durable per-tenant
   budgets (:class:`~repro.serving.tenant_store.TenantStore` under

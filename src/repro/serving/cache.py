@@ -1,24 +1,20 @@
-"""Memoising designed mechanisms so repeated requests skip the LP solver.
+"""The plan tier: each design is solved once per key and compiled once per process.
 
-A mechanism design is fully determined by the tuple ``(n, alpha, properties,
-objective)``; nothing about the data enters the design.  Serving
-workloads therefore see a tiny set of distinct designs under a huge stream of
-requests, and the LP solve — milliseconds to seconds per design — is the
-entire marginal cost.  :class:`DesignCache` keys designs by the canonical
-request string (:func:`design_key`), keeps the most recently used ones in
-memory (LRU), and can mirror every design to a directory of JSON files so
-later processes skip the solver too.
+A design is fully determined by ``(n, alpha, properties, objective)``;
+nothing about the data enters it, so serving sees a few distinct designs
+under a huge stream of requests.  :class:`DesignCache` keys them by
+:func:`design_key` and serves each request from the first tier holding it:
+**memory** (one LRU of registry rows, each with the shared, prepared
+:class:`~repro.engine.plan.ReleasePlan` compiled for it), the optional
+**registry** (:class:`~repro.serving.registry.PlanRegistry`, one WAL-mode
+sqlite file per cache directory), or a **solve** (the Figure-5 selector;
+HiGHS on the WM branches).
 
-Entries store each mechanism's *representation descriptor* — a closed-form
-factory call for the Figure-5 GM/EM branches, CSC arrays for LP-designed
-mechanisms — rather than a dense matrix blob, so cached designs stay small
-at any group size.  The persistent tier is a
-:class:`~repro.serving.registry.PlanRegistry` (one WAL-mode sqlite file per
-cache directory, safe for concurrent multi-process readers and a writer); a
-corrupt row (killed writer, bad disk) is treated as a cache miss: the
-design is re-solved and the bad row overwritten.  Legacy loose
+Rows (:func:`design_row`) store each mechanism's *representation
+descriptor* — a closed-form factory call for GM/EM, CSC arrays for LP
+designs — rather than a dense matrix blob.  A corrupt registry row is a
+miss: the design is re-solved and the row overwritten.  Legacy loose
 ``design-*.json`` directories are imported into the registry on first open.
-A cold miss solves its LP from scratch with HiGHS.
 
 >>> from repro.serving import DesignCache
 >>> cache = DesignCache(capacity=64)
@@ -34,12 +30,13 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple, Union
 
 from repro.core.losses import Objective
 from repro.core.mechanism import Mechanism
 from repro.core.properties import StructuralProperty, parse_properties
 from repro.core.selector import SelectorDecision
+from repro.engine.plan import ReleasePlan
 from repro.serving.registry import PlanRegistry
 
 PropertiesLike = Union[None, str, Iterable[Union[str, StructuralProperty]]]
@@ -89,6 +86,9 @@ class CacheStats:
     corrupt_rows: int = 0
     #: Legacy loose ``design-*.json`` entries imported on registry open.
     imported_legacy: int = 0
+    #: Release plans compiled into the memory tier (one per key, plus one
+    #: per recompile after an eviction).
+    plans_compiled: int = 0
 
     @property
     def requests(self) -> int:
@@ -109,8 +109,16 @@ class CacheStats:
         }
 
 
+@dataclass
+class _Entry:
+    """One memory-tier entry: the design's registry row and its shared plan."""
+
+    row: Dict[str, Any]
+    plan: Optional[ReleasePlan] = None
+
+
 class DesignCache:
-    """LRU + optional on-disk memo of :func:`~repro.core.selector.choose_mechanism`.
+    """The plan tier: an LRU of compiled plans over an optional registry.
 
     Parameters
     ----------
@@ -128,16 +136,18 @@ class DesignCache:
 
     Notes
     -----
-    Cache hits return a *fresh* :class:`~repro.core.mechanism.Mechanism`
-    rebuilt from the stored payload, so callers may mutate metadata freely
-    without polluting the cache.  ``metadata["design_cache"]`` records
-    whether the instance came from ``"solve"``, ``"memory"`` or ``"disk"``.
+    :meth:`get_or_compile` returns the *shared* plan of a key on every call
+    until the entry is evicted.  :meth:`get_or_design` instead returns a
+    *fresh* :class:`~repro.core.mechanism.Mechanism` rebuilt from the stored
+    row, so callers may mutate metadata freely without polluting the cache.
+    ``metadata["design_cache"]`` records whether the instance came from
+    ``"solve"``, ``"memory"`` or ``"disk"``.
 
     The cache is thread-safe: one re-entrant lock guards the LRU order,
-    the counters and the design resolution itself, so concurrent tenants
-    sharing a cache (the serving daemon, a thread-pool client) can never
-    corrupt the ``OrderedDict`` — and concurrent misses on the same key
-    serialise into exactly one LP solve process-wide.
+    the counters, the design resolution and plan compilation, so concurrent
+    tenants sharing a cache (the serving daemon, a thread-pool client) can
+    never corrupt the ``OrderedDict`` — and concurrent misses on the same
+    key serialise into exactly one LP solve and one plan process-wide.
     """
 
     def __init__(self, capacity: int = 128, directory: Optional[Union[str, Path]] = None):
@@ -148,13 +158,14 @@ class DesignCache:
         self.registry: Optional[PlanRegistry] = (
             PlanRegistry(self.directory) if self.directory is not None else None
         )
-        self._entries: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
+        self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
         self._lock = threading.RLock()
         self._hits = 0
         self._misses = 0
         self._evictions = 0
         self._disk_hits = 0
         self._disk_errors = 0
+        self._compiled = 0
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -179,6 +190,7 @@ class DesignCache:
                 disk_errors=self._disk_errors,
                 corrupt_rows=self.registry.corrupt_rows if self.registry else 0,
                 imported_legacy=self.registry.imported_legacy if self.registry else 0,
+                plans_compiled=self._compiled,
             )
 
     def clear(self, disk: bool = False) -> None:
@@ -194,8 +206,41 @@ class DesignCache:
             self.registry.close()
 
     # ------------------------------------------------------------------ #
-    # The main entry point
+    # The entry points
     # ------------------------------------------------------------------ #
+    def get_or_compile(
+        self,
+        n: int,
+        alpha: float,
+        properties: PropertiesLike,
+        objective: Optional[Objective],
+        build: Callable[[Mechanism, SelectorDecision], ReleasePlan],
+    ) -> ReleasePlan:
+        """The shared plan for a design request, compiling it on a plan miss.
+
+        A memory entry that already holds a plan is a memory hit and returns
+        that plan.  Otherwise the design resolves through
+        :meth:`get_or_design` (memory row, registry, or solve) and
+        ``build(mechanism, decision)`` — supplied by
+        :meth:`ReleasePlan.compile <repro.engine.plan.ReleasePlan.compile>`,
+        the one place a design request becomes a plan — builds the plan the
+        entry keeps until it is evicted.
+        """
+        key = design_key(n, alpha, properties, objective)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None and entry.plan is not None:
+                self._hits += 1
+                self._entries.move_to_end(key)
+                return entry.plan
+            mechanism, decision = self.get_or_design(
+                n, alpha, properties=properties, objective=objective
+            )
+            plan = build(mechanism, decision)
+            self._entries[key].plan = plan
+            self._compiled += 1
+            return plan
+
     def get_or_design(
         self,
         n: int,
@@ -226,7 +271,7 @@ class DesignCache:
                 # write, schema from an incompatible version) is treated as a
                 # miss: drop it, re-solve below and overwrite the bad entry.
                 try:
-                    materialised = self._materialise(entry, key, source)
+                    materialised = self._materialise(entry.row, key, source)
                 except Exception:
                     self._entries.pop(key, None)
                     self._remove_from_disk(key)
@@ -245,15 +290,11 @@ class DesignCache:
             mechanism, decision = choose_mechanism(
                 n, alpha, properties=properties, objective=objective
             )
-            entry = {
-                "key": key,
-                "mechanism": mechanism.to_dict(),
-                "decision": _decision_to_dict(decision),
-            }
-            self._entries[key] = entry
+            row = design_row(key, mechanism, decision)
+            self._entries[key] = _Entry(row)
             self._entries.move_to_end(key)
             self._evict()
-            self._store_to_disk(key, entry)
+            self._store_to_disk(key, row)
             mechanism.metadata["design_cache"] = "solve"
             mechanism.metadata["design_cache_key"] = key
             return mechanism, decision
@@ -267,15 +308,15 @@ class DesignCache:
             self._evictions += 1
 
     def _materialise(
-        self, entry: Dict[str, Any], key: str, source: str
+        self, row: Dict[str, Any], key: str, source: str
     ) -> Tuple[Mechanism, SelectorDecision]:
-        mechanism = Mechanism.from_dict(entry["mechanism"])
+        mechanism = Mechanism.from_dict(row["mechanism"])
         mechanism.metadata["design_cache"] = source
         mechanism.metadata["design_cache_key"] = key
-        return mechanism, _decision_from_dict(entry["decision"])
+        return mechanism, _decision_from_dict(row["decision"])
 
-    def _load_from_disk(self, key: str) -> Optional[Dict[str, Any]]:
-        """Read a registry entry; a corrupt row is dropped and is a miss.
+    def _load_from_disk(self, key: str) -> Optional[_Entry]:
+        """Read a registry row; a corrupt row is dropped and is a miss.
 
         The registry verifies checksum, JSON shape and recorded key before
         returning anything, so a killed writer or bit-rotted row surfaces
@@ -283,13 +324,14 @@ class DesignCache:
         """
         if self.registry is None:
             return None
-        return self.registry.get(key)
+        row = self.registry.get(key)
+        return None if row is None else _Entry(row)
 
     def _remove_from_disk(self, key: str) -> None:
         if self.registry is not None:
             self.registry.delete(key)
 
-    def _store_to_disk(self, key: str, entry: Dict[str, Any]) -> None:
+    def _store_to_disk(self, key: str, row: Dict[str, Any]) -> None:
         """Mirror one entry into the registry (one atomic transaction).
 
         Registry failures (I/O errors, full disk) are counted and
@@ -302,9 +344,14 @@ class DesignCache:
         if self.registry is None:
             return
         try:
-            self.registry.put(key, entry)
+            self.registry.put(key, row)
         except OSError:
             self._disk_errors += 1
+
+
+def design_row(key: str, mechanism: Mechanism, decision: SelectorDecision) -> Dict[str, Any]:
+    """The registry row of one design: its key, mechanism and selector decision."""
+    return {"key": key, "mechanism": mechanism.to_dict(), "decision": _decision_to_dict(decision)}
 
 
 def _decision_to_dict(decision: SelectorDecision) -> Dict[str, Any]:

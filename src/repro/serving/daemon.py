@@ -13,9 +13,11 @@ amortises both across a process lifetime — and across *tenants*:
   :meth:`~repro.engine.executor.StreamExecutor.stream_seeded` applied to
   tenants instead of chunks.
 
-* **One shared plans-LRU.**  A single :class:`~repro.serving.cache
-  .DesignCache` plus one compiled :class:`~repro.engine.plan.ReleasePlan`
-  per distinct ``(n, alpha, properties)`` serve *all* tenants.
+* **One shared plan tier.**  A single :class:`~repro.serving.cache
+  .DesignCache` holds one compiled :class:`~repro.engine.plan.ReleasePlan`
+  per distinct ``(n, alpha, properties)`` (fetched with
+  :meth:`ReleasePlan.compile(..., cache=...)
+  <repro.engine.plan.ReleasePlan.compile>`) and serves *all* tenants.
 
 * **Coalescing batcher.**  In-flight requests are collected for a short
   window (``batch_window_ms``, default 2 ms) and same-plan requests from
@@ -88,7 +90,7 @@ from repro.engine.durability import (
 from repro.engine.plan import ReleasePlan
 from repro.lp.solver import solve_call_count
 from repro.privacy import BudgetExceededError, PrivacyAccountant
-from repro.serving.cache import DesignCache, design_key
+from repro.serving.cache import DesignCache
 from repro.serving.protocol import (
     DEFAULT_MAX_LINE_BYTES,
     LineTooLongError,
@@ -190,7 +192,6 @@ class _PendingRequest:
     """One admitted release waiting in the batcher."""
 
     tenant: TenantSession
-    key: str
     plan: ReleasePlan
     command: ReleaseCommand
     future: "asyncio.Future[Tuple[dict, _OnWritten]]"
@@ -357,10 +358,6 @@ class ServingDaemon:
                 session.requests = recovered.next_seq
                 session.refusals = recovered.refusals
                 self._tenants[recovered.name] = session
-        #: Shared compiled plans, LRU-bounded by the cache capacity (the
-        #: same knob that bounds the design cache itself).
-        self._plans: "OrderedDict[str, ReleasePlan]" = OrderedDict()
-        self._plans_compiled = 0
         self._pending: List[_PendingRequest] = []
         self._flush_handle: Optional[asyncio.TimerHandle] = None
         self._connections = 0
@@ -517,33 +514,13 @@ class ServingDaemon:
         return session
 
     def _plan_for(self, command: ReleaseCommand) -> ReleasePlan:
-        """The shared compiled plan for a design request (one per key)."""
+        """The cache's shared plan for a design request (one per key)."""
         try:
-            key = design_key(command.n, command.alpha, command.properties)
-        except ValueError as error:  # unknown property code
-            raise ProtocolError(str(error)) from error
-        plan = self._plans.get(key)
-        if plan is None:
-            try:
-                mechanism, decision = self.cache.get_or_design(
-                    command.n,
-                    command.alpha,
-                    properties=command.properties,
-                )
-            except ValueError as error:
-                raise ProtocolError(str(error)) from error
-            plan = ReleasePlan(
-                mechanism,
-                decision=decision,
-                alpha_cost=float(command.alpha),
-                key=key,
+            return ReleasePlan.compile(
+                command.n, command.alpha, properties=command.properties, cache=self.cache
             )
-            self._plans[key] = plan
-            self._plans_compiled += 1
-        self._plans.move_to_end(key)
-        while len(self._plans) > self.cache.capacity:
-            self._plans.popitem(last=False)
-        return plan
+        except ValueError as error:  # unknown property code, alpha out of range
+            raise ProtocolError(str(error)) from error
 
     # ------------------------------------------------------------------ #
     # The coalescing batcher
@@ -597,7 +574,7 @@ class ServingDaemon:
         )
         self._pending.append(
             _PendingRequest(
-                tenant=tenant, key=plan.key, plan=plan,
+                tenant=tenant, plan=plan,
                 command=command, future=future, deadline=deadline,
             )
         )
@@ -802,7 +779,7 @@ class ServingDaemon:
                 try:
                     tenant.ledger.charge(
                         seq,
-                        alpha=float(item.command.alpha),
+                        alpha=item.plan.alpha_cost,
                         size=int(item.command.counts.shape[0]),
                         label=label,
                         crc=chunk_crc(item.command.counts),
@@ -894,7 +871,7 @@ class ServingDaemon:
 
         groups: "OrderedDict[str, List[_PendingRequest]]" = OrderedDict()
         for item in survivors:
-            groups.setdefault(item.key, []).append(item)
+            groups.setdefault(item.plan.key, []).append(item)
         for items in groups.values():
             self._serve_group(items)
 
@@ -1156,7 +1133,6 @@ class ServingDaemon:
             accountant=None,
             budget_refusals=self.stats.budget_refusals,
             lp_solves=solve_call_count() - self._solves_at_start,
-            plans_compiled=self._plans_compiled,
             densifications=Mechanism.densifications - self._densifications_at_start,
         )
 
@@ -1171,7 +1147,7 @@ class ServingDaemon:
             f"budget_refusals={self.stats.budget_refusals} "
             f"overloaded={self.stats.overloaded} "
             f"replays={self.stats.replays} "
-            f"cache_hits={cache.hits} plans_compiled={self._plans_compiled}"
+            f"cache_hits={cache.hits} plans_compiled={cache.plans_compiled}"
         )
         if self._store is not None:
             line += f" {self._store.describe()}"

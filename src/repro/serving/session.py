@@ -7,9 +7,11 @@ answers such a stream in three vectorised steps:
 
 1. bucket the records by canonical design key (:func:`~repro.serving.cache
    .design_key`);
-2. fetch each bucket's compiled :class:`~repro.engine.plan.ReleasePlan`
-   (resolving the design through the :class:`~repro.serving.cache
-   .DesignCache` — and solving the LP — only the first time it is seen);
+2. fetch each bucket's shared :class:`~repro.engine.plan.ReleasePlan` with
+   :meth:`ReleasePlan.compile(..., cache=...)
+   <repro.engine.plan.ReleasePlan.compile>` (the
+   :class:`~repro.serving.cache.DesignCache` resolves the design — and
+   solves the LP — only the first time the key is seen);
 3. execute each bucket's counts through its plan in one vectorised call,
    then scatter the results back into input order.
 
@@ -27,7 +29,6 @@ the uniform stream in first-appearance order of their design key.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -137,63 +138,6 @@ class BatchReleaseSession:
         self.accountant = accountant
         self.stats = SessionStats()
         self._sync_budget_stats()
-        # Session-local compiled plans so repeat traffic reuses the same
-        # ReleasePlan instance (and its mechanism's precomputed sampling
-        # state) instead of rebuilding one from the cache payload per batch.
-        # Bounded by the cache's LRU capacity so a long-lived session's
-        # memory stays governed by the same knob as the cache itself.
-        self._plans: "OrderedDict[str, ReleasePlan]" = OrderedDict()
-        # Raw-request -> canonical-key memo: design_key() re-parses and
-        # re-sorts the property spec on every call, which dominates the
-        # per-record serving cost once sampling is vectorised.  Keyed on the
-        # request fields as given (falling back to recomputing when a field
-        # is unhashable, e.g. a list of properties) and cleared when it
-        # outgrows a multiple of the design-cache capacity so a long-lived
-        # session's memory stays bounded.
-        self._key_memo: Dict[Any, str] = {}
-        self._key_memo_limit = max(1024, 8 * self.cache.capacity)
-
-    def _design_key(self, n, alpha, properties, objective) -> str:
-        memo_key = (n, alpha, properties, objective)
-        try:
-            cached = self._key_memo.get(memo_key)
-        except TypeError:
-            return design_key(n, alpha, properties, objective)
-        if cached is None:
-            cached = design_key(n, alpha, properties, objective)
-            if len(self._key_memo) >= self._key_memo_limit:
-                self._key_memo.clear()
-            self._key_memo[memo_key] = cached
-        return cached
-
-    def _plan(
-        self,
-        n: int,
-        alpha: float,
-        properties: PropertiesLike,
-        objective: Optional[Objective],
-        key: str,
-    ) -> ReleasePlan:
-        plan = self._plans.get(key)
-        if plan is None:
-            mechanism, decision = self.cache.get_or_design(
-                n, alpha, properties=properties, objective=objective
-            )
-            # Compiling the plan runs the representation-aware sampling
-            # warm-up eagerly: dense mechanisms precompute their (n+1)^2
-            # CDF table; closed-form / sparse mechanisms warm per-column
-            # caches lazily and need (and must do) nothing here.
-            plan = ReleasePlan(
-                mechanism,
-                decision=decision,
-                alpha_cost=float(alpha),
-                key=key,
-            )
-            self._plans[key] = plan
-        self._plans.move_to_end(key)
-        while len(self._plans) > self.cache.capacity:
-            self._plans.popitem(last=False)
-        return plan
 
     def _charge(self, plans_and_labels: Sequence[Tuple[ReleasePlan, str]]) -> None:
         """Charge a set of about-to-execute batches, refusing all-or-nothing.
@@ -230,33 +174,37 @@ class BatchReleaseSession:
         records = list(requests)
         if not records:
             return []
-        # Bucket by canonical design key, keeping first-appearance order so
-        # RNG consumption (and therefore reproducibility) is well defined.
-        buckets: "Dict[str, List[int]]" = {}
+        # Group by the request fields as given (cheap: no property parsing
+        # per record), then merge groups that spell one design differently
+        # into canonical-key buckets.  Buckets keep the first-appearance
+        # order of their key and their records keep input order, so RNG
+        # consumption (and therefore reproducibility) is well defined.
+        groups: Dict[Any, List[int]] = {}
         for index, record in enumerate(records):
-            key = self._design_key(
-                record.n, record.alpha, record.properties, record.objective
-            )
-            buckets.setdefault(key, []).append(index)
+            spec = (record.n, record.alpha, record.properties, record.objective)
+            try:
+                groups.setdefault(spec, []).append(index)
+            except TypeError:  # an unhashable spelling, e.g. a list of properties
+                groups.setdefault(design_key(*spec), []).append(index)
 
         # Resolve every bucket's plan, then charge the whole request before
         # any bucket samples: a refusal must not leak a partial release.
-        plans: Dict[str, ReleasePlan] = {}
-        for key, indices in buckets.items():
+        buckets: Dict[str, Tuple[ReleasePlan, List[int]]] = {}
+        for indices in groups.values():
             first = records[indices[0]]
-            plans[key] = self._plan(
-                first.n, first.alpha, first.properties, first.objective, key
-            )
+            plan = self.plan_for(first.n, first.alpha, first.properties, first.objective)
+            buckets.setdefault(plan.key, (plan, []))[1].extend(indices)
+        for _, indices in buckets.values():
+            indices.sort()
         self._charge(
             [
-                (plans[key], f"{plans[key].mechanism.name} batch ({len(indices)} records)")
-                for key, indices in buckets.items()
+                (plan, f"{plan.mechanism.name} batch ({len(indices)} records)")
+                for plan, indices in buckets.values()
             ]
         )
 
         results: List[Optional[ReleasedCount]] = [None] * len(records)
-        for key, indices in buckets.items():
-            plan = plans[key]
+        for key, (plan, indices) in buckets.items():
             first = records[indices[0]]
             counts = np.asarray([records[i].count for i in indices], dtype=int)
             released = plan.execute(counts, rng=self.rng)
@@ -299,13 +247,12 @@ class BatchReleaseSession:
             raise ValueError(
                 f"counts must lie in [0, {int(n)}]; got [{values.min()}, {values.max()}]"
             )
-        key = design_key(n, alpha, properties, objective)
-        plan = self._plan(n, alpha, properties, objective, key)
+        plan = self.plan_for(n, alpha, properties, objective)
         self._charge([(plan, f"{plan.mechanism.name} batch ({values.size} records)")])
         released = plan.execute(values, rng=self.rng)
         self.stats.records += int(values.size)
         self.stats.batches += 1
-        self.stats._keys.add(key)
+        self.stats._keys.add(plan.key)
         self.stats.distinct_designs = len(self.stats._keys)
         return released
 
@@ -316,9 +263,10 @@ class BatchReleaseSession:
         properties: PropertiesLike = (),
         objective: Optional[Objective] = None,
     ) -> ReleasePlan:
-        """The compiled :class:`~repro.engine.plan.ReleasePlan` for a request."""
-        key = design_key(n, alpha, properties, objective)
-        return self._plan(n, alpha, properties, objective, key)
+        """The cache's shared :class:`~repro.engine.plan.ReleasePlan` for a request."""
+        return ReleasePlan.compile(
+            n, alpha, properties=properties, objective=objective, cache=self.cache
+        )
 
     def mechanism_for(
         self,

@@ -31,7 +31,9 @@ rows dropped on checksum/shape failure (each became a re-solve);
 first open; ``tiers`` breaks requests down by serving tier (in-process
 ``memory``, persistent ``registry``, fresh LP ``solve``).
 The top-level ``lp_build_seconds`` / ``lp_solve_seconds`` are cumulative
-process-wide LP wall-times from :func:`repro.core.design.lp_timing_totals`.
+process-wide LP wall-times from :func:`repro.core.design.lp_timing_totals`;
+``plans_compiled`` is the cache's own count of release plans compiled into
+its memory tier (``null`` without a cache).
 
 ``budget`` fields are ``null`` on unmetered sessions (except
 ``budget_refusals``, which is always a number); ``cache`` is ``null`` when
@@ -133,7 +135,6 @@ def stats_payload(
     lp_solves: Optional[int] = None,
     lp_build_seconds: Optional[float] = None,
     lp_solve_seconds: Optional[float] = None,
-    plans_compiled: Optional[int] = None,
     densifications: Optional[int] = None,
     **counters: Any,
 ) -> Dict[str, Any]:
@@ -161,9 +162,7 @@ def stats_payload(
     payload["lp_solves"] = None if lp_solves is None else int(lp_solves)
     payload["lp_build_seconds"] = round(float(lp_build_seconds), 6)
     payload["lp_solve_seconds"] = round(float(lp_solve_seconds), 6)
-    payload["plans_compiled"] = (
-        None if plans_compiled is None else int(plans_compiled)
-    )
+    payload["plans_compiled"] = None if cache is None else int(cache.plans_compiled)
     payload["densifications"] = (
         None if densifications is None else int(densifications)
     )

@@ -17,7 +17,7 @@ import time
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.losses import Objective
-from repro.serving.cache import _decision_to_dict, design_key
+from repro.serving.cache import design_key, design_row
 from repro.serving.registry import PlanRegistry
 
 
@@ -62,7 +62,7 @@ def parse_grid(tokens: Sequence[str]) -> Dict[str, List[Any]]:
 
 
 def _design_point_task(task: Tuple[int, float, Optional[str], Optional[Objective]]) -> Dict[str, Any]:
-    """Design one grid point and return its registry entry.
+    """Design one grid point and return its registry row.
 
     Module-level so :func:`warm_grid` tasks can pickle.
     """
@@ -70,11 +70,7 @@ def _design_point_task(task: Tuple[int, float, Optional[str], Optional[Objective
 
     n, alpha, props, objective = task
     mechanism, decision = choose_mechanism(n, alpha, properties=props, objective=objective)
-    return {
-        "key": design_key(n, alpha, props, objective),
-        "mechanism": mechanism.to_dict(),
-        "decision": _decision_to_dict(decision),
-    }
+    return design_row(design_key(n, alpha, props, objective), mechanism, decision)
 
 
 def warm_grid(

@@ -140,6 +140,26 @@ class TestReleaseCommand:
             )  # out of range
 
 
+class TestErrorPaths:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("design --n 8 --alpha 0.9 --properties XX", "unknown structural property"),
+            ("design --n 8 --alpha 1.5", "alpha must lie in [0, 1]"),
+            ("compare --n 8 --alpha 2", "alpha must lie in [0, 1]"),
+            ("release --mechanism FOO --n 8 --alpha 0.9 --counts 1", "unknown mechanism 'FOO'"),
+            ("release --load /nonexistent.json --counts 1", "cannot read /nonexistent.json"),
+        ],
+    )
+    def test_error_paths_exit_cleanly(self, argv, message):
+        """Bad input ends in a one-line SystemExit message, never a traceback."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv.split())
+        text = excinfo.value.code
+        assert isinstance(text, str) and "\n" not in text
+        assert message in text
+
+
 class TestExperimentsCommand:
     def test_experiments_subcommand_runs_fast_subset(self, capsys, tmp_path):
         exit_code = main(

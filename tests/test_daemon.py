@@ -28,7 +28,14 @@ import pytest
 
 from repro.core.selector import choose_mechanism
 from repro.engine.plan import ReleasePlan
-from repro.serving import AsyncDaemonClient, ServingDaemon
+from repro.lp.solver import solve_call_count
+from repro.serving import (
+    AsyncDaemonClient,
+    BatchReleaseSession,
+    DesignCache,
+    ServingDaemon,
+    stats_payload,
+)
 from repro.serving.cache import design_key
 from repro.serving.protocol import (
     ERROR,
@@ -65,17 +72,25 @@ async def _one_release(daemon, tenant, counts, n, alpha, properties="", **hello)
         await client.close()
 
 
+def _inject_plan(cache, plan):
+    """Make ``plan`` the cache's shared plan for its design request."""
+    shared = cache.get_or_compile(
+        plan.n, plan.alpha_cost, plan.decision.requested, None, lambda *_: plan
+    )
+    assert shared is plan
+
+
 async def _serve_workload(workload, batch_window_ms, *, daemon_kwargs=None, plans=None):
     """Serve one release per tenant concurrently; returns {tenant: response}.
 
-    ``plans`` optionally pre-seeds the daemon's shared plans-LRU (used to
+    ``plans`` optionally pre-seeds the daemon's shared plan tier (used to
     route requests through a specific mechanism representation).
     """
     daemon = await _start_daemon(
         batch_window_ms=batch_window_ms, **(daemon_kwargs or {})
     )
-    if plans:
-        daemon._plans.update(plans)
+    for plan in (plans or {}).values():
+        _inject_plan(daemon.cache, plan)
     responses = {}
 
     async def drive(tenant, counts, n, alpha, properties):
@@ -128,7 +143,7 @@ class TestCoalescingIdentity:
         serial, _ = run(_serve_workload(workload, batch_window_ms=0.0))
 
         expected_repr = {"closed": "closed-form", "sparse": "sparse"}[branch]
-        (plan,) = daemon._plans.values()
+        plan = ReleasePlan.compile(n, alpha, properties=properties, cache=daemon.cache)
         assert plan.mechanism.representation == expected_repr
 
         # At least one flush actually merged multiple tenants.
@@ -143,10 +158,10 @@ class TestCoalescingIdentity:
             ), f"{tenant}: daemon differs from the engine on the same stream"
 
     def test_dense_plan_identity(self):
-        """Dense mechanisms coalesce identically (plan injected into the LRU).
+        """Dense mechanisms coalesce identically (plan injected into the cache).
 
         ``representation="auto"`` stores LP designs sparsely, so the dense
-        path is exercised by pre-seeding the daemon's shared plans-LRU with
+        path is exercised by pre-seeding the daemon's shared plan tier with
         a dense-wrapped WM — exactly what a cache warmed by an older dense
         artifact would hold.
         """
@@ -175,7 +190,7 @@ class TestCoalescingIdentity:
         serial, _ = run(
             _serve_workload(workload, batch_window_ms=0.0, plans=plans())
         )
-        (plan,) = daemon._plans.values()
+        plan = ReleasePlan.compile(n, alpha, properties=properties, cache=daemon.cache)
         assert plan.mechanism.representation == "dense"
         assert daemon.stats.coalesced_requests > 0
         for tenant, counts, *_ in workload:
@@ -374,6 +389,38 @@ class TestLifecycle:
         cache = stats["cache"]
         assert cache["misses"] == 1
         assert stats["tenants"] == 4
+
+    def test_library_session_and_daemon_share_one_plan(self):
+        """One cache, one key: compile, a session and the daemon use one plan."""
+        n, alpha, properties = 12, 0.9, "WH+CM"
+        cache = DesignCache()
+        solves_before = solve_call_count()
+        plan = ReleasePlan.compile(n, alpha, properties=properties, cache=cache)
+
+        session = BatchReleaseSession(cache=cache, rng=np.random.default_rng(1))
+        session.release_counts([1, 2, 3], n=n, alpha=alpha, properties="CM+WH")
+        assert session.plan_for(n, alpha, properties=properties) is plan
+
+        async def serve():
+            daemon = await _start_daemon(cache=cache, batch_window_ms=0.0)
+            try:
+                response = await _one_release(daemon, "t", [4, 5], n, alpha, properties)
+            finally:
+                await daemon.stop()
+            return daemon, response
+
+        daemon, response = run(serve())
+        assert response["code"] == OK
+        assert ReleasePlan.compile(n, alpha, properties=properties, cache=daemon.cache) is plan
+        # The session and the daemon each executed that very object once.
+        assert plan.executions == 2
+        assert solve_call_count() - solves_before <= 1
+        session_stats = stats_payload(
+            "serve-batch", records=session.stats.records, cache=session.cache.stats()
+        )
+        assert cache.stats().plans_compiled == 1
+        assert session_stats["plans_compiled"] == 1
+        assert daemon.stats_payload()["plans_compiled"] == 1
 
     def test_tenant_limit_and_conflicting_hello(self):
         async def scenario():

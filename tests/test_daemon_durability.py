@@ -66,6 +66,15 @@ async def _one_release(daemon, tenant, counts, n, alpha, properties="", **hello)
         await client.close()
 
 
+def _inject_plans(cache, plans):
+    """Make each of ``plans`` the cache's shared plan for its design request."""
+    for plan in plans.values():
+        shared = cache.get_or_compile(
+            plan.n, plan.alpha_cost, plan.decision.requested, None, lambda *_: plan
+        )
+        assert shared is plan
+
+
 def _engine_reference(tenant, counts, n, alpha, properties, requests_before=0):
     """What serial per-request serving must release for this tenant."""
     plan = ReleasePlan.compile(n, alpha, properties=properties)
@@ -256,7 +265,7 @@ class TestRestartRecovery:
                 state_dir=state, budget_alpha=budget, batch_window_ms=0.0
             )
             if plans:
-                daemon._plans.update(plans())
+                _inject_plans(daemon.cache, plans())
             first = await _one_release(
                 daemon, "t", batches[0], n, alpha, properties
             )
@@ -266,7 +275,7 @@ class TestRestartRecovery:
                 state_dir=state, budget_alpha=budget, batch_window_ms=0.0
             )
             if plans:
-                restarted._plans.update(plans())
+                _inject_plans(restarted.cache, plans())
             client = await _connect(restarted)
             hello = await client.hello("t")
             rest = [
@@ -280,7 +289,7 @@ class TestRestartRecovery:
         async def uninterrupted():
             daemon = await _start_daemon(budget_alpha=budget, batch_window_ms=0.0)
             if plans:
-                daemon._plans.update(plans())
+                _inject_plans(daemon.cache, plans())
             client = await _connect(daemon)
             await client.hello("t")
             responses = [

@@ -368,10 +368,10 @@ class TestWarmGrid:
         before = solve_call_count()
         for alpha in (0.9, 0.95):
             plan = ReleasePlan.compile(6, alpha, properties="WH+CM", cache=cache)
-            descriptor = plan.descriptor()
-            assert descriptor["n"] == 6
-            assert descriptor["alpha"] == alpha
-            assert descriptor["key"] in cache.registry
+            fields = parse_design_key(plan.key)
+            assert fields["n"] == 6
+            assert fields["alpha"] == alpha
+            assert plan.key in cache.registry
         assert solve_call_count() == before
 
     def test_warm_cli_round_trip(self, tmp_path, capsys):

@@ -175,49 +175,67 @@ class TestDesignCache:
         with pytest.raises(ValueError):
             DesignCache(capacity=0)
 
-    def test_choose_mechanism_routes_through_cache(self):
-        cache = DesignCache()
-        repro.choose_mechanism(5, 0.9, properties="F", cache=cache)
-        mechanism, _ = repro.choose_mechanism(5, 0.9, properties="F", cache=cache)
-        assert mechanism.metadata["design_cache"] == "memory"
-        assert cache.stats().hits == 1
-
-    def test_thread_pool_hammer(self):
+    def test_thread_pool_hammer(self, monkeypatch):
         """Concurrent tenants on one cache: consistent counters, one solve per key.
 
-        The serving daemon shares a single cache across tenants; before the
-        RLock, concurrent ``get_or_design``/``_evict`` calls could corrupt
-        the LRU ``OrderedDict`` mid-iteration.  Hammer a capacity-bounded
-        cache from a thread pool and check every invariant the lock must
-        protect: no exceptions, hits + misses == requests, the LRU never
-        exceeds capacity, and concurrent misses on one key serialise into
-        exactly one design (every returned mechanism per key is identical).
+        The serving daemon shares a single cache — and its compiled plans —
+        across tenants; before the RLock, concurrent ``get_or_design``/
+        ``_evict`` calls could corrupt the LRU ``OrderedDict``
+        mid-iteration.  Hammer a capacity-bounded cache from a thread pool
+        and check every invariant the lock must protect: no exceptions,
+        hits + misses == requests, the LRU never exceeds capacity, and
+        concurrent misses on one key serialise into exactly one design
+        (every returned mechanism per key is identical).  Workers also
+        execute the shared plans with their own seeded generators, and must
+        release exactly what a serial run releases.
         """
+        import sys
         from concurrent.futures import ThreadPoolExecutor
 
-        # GM/EM closed forms only — no LP solves, so the hammer stays fast.
+        # One cached CDF column per mechanism, so concurrent draws through
+        # one shared plan keep evicting each other's columns, and frequent
+        # thread switches so they interleave inside the column cache.
+        monkeypatch.setattr(Mechanism, "CDF_CACHE_COLUMNS", 1)
+        # GM/EM closed forms plus one sparse WM key (a small LP).
         settings = [(3, 0.9, ""), (4, 0.8, ""), (5, 0.9, "F"), (6, 0.7, ""),
-                    (7, 0.9, "F"), (8, 0.6, "")]
-        cache = DesignCache(capacity=4)  # smaller than the key set: evictions
+                    (7, 0.9, "F"), (8, 0.6, ""), (12, 0.9, "WH+CM")]
 
-        def worker(worker_index):
+        def worker(cache, worker_index):
+            rng = np.random.default_rng([2018, worker_index])
             results = []
             for step in range(30):
                 n, alpha, properties = settings[(worker_index + step) % len(settings)]
                 mechanism, decision = cache.get_or_design(
                     n, alpha, properties=properties
                 )
-                results.append((n, mechanism, decision.branch))
+                plan = repro.ReleasePlan.compile(n, alpha, properties=properties, cache=cache)
+                # Small single-column batches: each worker keeps re-reading
+                # the column the others keep evicting.
+                released = np.concatenate([
+                    plan.execute([worker_index % 3] * 4, rng=rng) for _ in range(150)
+                ])
+                results.append((n, mechanism, decision.branch, plan, released))
             return results
 
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            outcomes = [future.result() for future in
-                        [pool.submit(worker, i) for i in range(8)]]
+        cache = DesignCache(capacity=4)  # smaller than the key set: evictions
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                outcomes = [future.result() for future in
+                            [pool.submit(worker, cache, i) for i in range(8)]]
+        finally:
+            sys.setswitchinterval(interval)
+        serial = [worker(DesignCache(capacity=4), i) for i in range(8)]
 
+        assert any(plan.mechanism.representation == "sparse"
+                   for results in outcomes for _, _, _, plan, _ in results)
         by_n = {}
-        for results in outcomes:
-            for n, mechanism, branch in results:
+        for results, expected in zip(outcomes, serial):
+            for (n, mechanism, branch, plan, released), reference in zip(results, expected):
                 assert mechanism.n == n
+                assert plan.branch == branch
+                assert np.array_equal(released, reference[4])
                 by_n.setdefault(n, []).append((mechanism, branch))
         for n, produced in by_n.items():
             first, first_branch = produced[0]
@@ -226,7 +244,7 @@ class TestDesignCache:
                 assert mechanism.allclose(first)  # one design per key, ever
 
         stats = cache.stats()
-        assert stats.requests == 8 * 30
+        assert stats.requests == 8 * 30 * 2  # one design and one plan lookup per step
         assert stats.hits + stats.misses == stats.requests
         assert len(cache) <= cache.capacity
         # Conservation under the lock: every miss inserts one entry, every
@@ -234,6 +252,7 @@ class TestDesignCache:
         # break this exact balance.
         assert stats.misses == stats.evictions + len(cache)
         assert stats.misses >= len(settings)
+        assert stats.plans_compiled >= len(settings)
 
 
 # --------------------------------------------------------------------- #
