@@ -3,9 +3,10 @@
 A closed-loop multi-client harness drives the daemon in-process at 1, 4 and
 16 concurrent tenants, all requesting the same large-``n`` GM design (the
 paper's "millions of users" serving shape: ``n`` = 100 000 puts the closed
-form in its bisection regime, where every sampling call pays ~17 vectorised
-CDF evaluations of fixed per-call cost — exactly the cost coalescing
-amortises).  Each scenario is measured twice, identical in output bits:
+form in its analytic-inverse regime, where every sampling call pays one
+analytic guess plus one vectorised CDF evaluation — a fixed per-call cost
+that coalescing amortises, along with the per-batch ledger work).  Each
+scenario is measured twice, identical in output bits:
 
 * **coalesced** — ``batch_window_ms = 2``: same-plan requests from
   different tenants merge into one ``execute_with_uniforms`` draw;
@@ -36,8 +37,8 @@ from _tiny import TINY
 
 from repro.serving import AsyncDaemonClient, ServingDaemon
 
-#: Group size: bisection-regime closed form (TINY: toy size, same code path
-#: through the daemon, column-cache sampling regime instead).
+#: Group size: analytic-inverse regime of the closed form (TINY: toy size,
+#: same code path through the daemon, column-cache sampling regime instead).
 N = 512 if TINY else 100_000
 ALPHA = 0.9
 COUNTS_PER_REQUEST = 4

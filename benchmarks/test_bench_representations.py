@@ -11,6 +11,11 @@ Two guarantees of the refactor are asserted here, not just timed:
   end-to-end **without materialising a single dense matrix**, verified by
   the :attr:`~repro.core.mechanism.Mechanism.densifications` counter.
 
+The GM and EM throughput cases also record, in ``BENCH_representations.json``,
+the per-count sampling cost at the serving group size
+(``sample_ns_per_count``) and the share of elements whose analytic guess
+was not confirmed and went to bisection (``fallback_share``).
+
 ``REPRO_BENCH_TINY=1`` (the CI smoke job) runs the same code paths at toy
 sizes with the wall-clock/memory assertions disabled.
 """
@@ -22,10 +27,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from _metrics import record_case_metrics
 from _tiny import TINY
 
 import repro
 from repro.core.mechanism import ClosedFormMechanism, DenseMechanism, Mechanism
+from repro.mechanisms.fair import explicit_fair_mechanism
 from repro.mechanisms.geometric import geometric_matrix, geometric_mechanism
 
 #: Group size / batch size for the closed-form vs dense comparison.
@@ -125,16 +132,60 @@ def test_serving_million_mixed_requests_without_densification(rng):
     assert session.stats.distinct_designs == 2
 
 
-@pytest.mark.benchmark(group="representations")
-def test_closed_form_gm_large_n_throughput(benchmark, rng):
-    """Timed: analytic inverse-CDF sampling at the serving group size."""
-    mechanism = geometric_mechanism(N_SERVE, 0.9)
-    counts = rng.integers(0, N_SERVE + 1, size=BATCH_COMPARE)
-
+def _closed_form_throughput(case, benchmark, mechanism, counts):
+    """Time ``sample_batch`` and record per-count cost and the fallback share."""
     released = benchmark(
         lambda: mechanism.sample_batch(counts, rng=np.random.default_rng(0))
     )
     assert released.shape == counts.shape
+
+    # Count the elements the sampler hands to bisection by wrapping this
+    # instance's fallback (an instance attribute shadows the method).
+    bisected = []
+    fallback = mechanism._sample_by_bisection
+
+    def counted_fallback(fallback_counts, fallback_uniforms):
+        bisected.append(fallback_counts.shape[0])
+        return fallback(fallback_counts, fallback_uniforms)
+
+    mechanism._sample_by_bisection = counted_fallback
+    uniforms = np.random.default_rng(0).random(counts.shape[0])
+    timings = []
+    for _ in range(5):
+        bisected.clear()
+        start = time.perf_counter()
+        mechanism.sample_with_uniforms(counts, uniforms)
+        timings.append(time.perf_counter() - start)
+    del mechanism._sample_by_bisection
+    record_case_metrics(
+        case,
+        sample_ns_per_count=min(timings) / counts.shape[0] * 1e9,
+        fallback_share=sum(bisected) / counts.shape[0],
+    )
+
+
+@pytest.mark.benchmark(group="representations")
+def test_closed_form_gm_large_n_throughput(benchmark, rng):
+    """Timed: analytic inverse-CDF sampling at the serving group size."""
+    counts = rng.integers(0, N_SERVE + 1, size=BATCH_COMPARE)
+    _closed_form_throughput(
+        "test_closed_form_gm_large_n_throughput",
+        benchmark,
+        geometric_mechanism(N_SERVE, 0.9),
+        counts,
+    )
+
+
+@pytest.mark.benchmark(group="representations")
+def test_closed_form_em_large_n_throughput(benchmark, rng):
+    """Timed: EM's three-piece analytic inverse at the serving group size."""
+    counts = rng.integers(0, N_SERVE + 1, size=BATCH_COMPARE)
+    _closed_form_throughput(
+        "test_closed_form_em_large_n_throughput",
+        benchmark,
+        explicit_fair_mechanism(N_SERVE, 0.9),
+        counts,
+    )
 
 
 @pytest.mark.benchmark(group="representations")

@@ -291,10 +291,16 @@ class MechanismLPBuilder:
     def add_properties(
         self, properties: Iterable[Union[str, StructuralProperty]]
     ) -> FrozenSet[StructuralProperty]:
-        """Add every property in the given specification; returns the parsed set."""
+        """Add every property in the given specification; returns the parsed set.
+
+        Rows are added in :class:`StructuralProperty` declaration order, not
+        in the parsed set's hash order, so the LP (and the solution HiGHS
+        returns for it) does not depend on ``PYTHONHASHSEED``.
+        """
         props = parse_properties(properties)
-        for prop in props:
-            self.add_property(prop)
+        for prop in StructuralProperty:
+            if prop in props:
+                self.add_property(prop)
         return props
 
     def add_property(self, prop: Union[str, StructuralProperty]) -> None:

@@ -37,9 +37,10 @@ EXACT_SAMPLING_LIMIT`` the non-dense backends build each needed column's
 CDF with the exact float operations of the dense sampler, so closed-form /
 sparse / dense mechanisms with bit-identical columns release bit-identical
 counts on a shared uniform stream (the test-suite proves this up to
-``n = 512``).  Above the limit, closed forms switch to an O(1)-memory
-analytic inverse-CDF bisection (same distribution, same one-uniform-per-
-element stream consumption).
+``n = 512``).  Above the limit, closed forms invert their analytic CDF
+in O(batch) memory: an analytic inverse guesses each output and one CDF
+call confirms it, with bisection as the fallback for unconfirmed guesses
+(same distribution, same one-uniform-per-element stream consumption).
 """
 
 from __future__ import annotations
@@ -554,8 +555,8 @@ class Mechanism:
         """Whether :meth:`_inverse_sample` inverts per-column CDFs here.
 
         True for the dense and sparse backends; closed forms override this
-        to exclude their analytic-bisection regime (whose float path the
-        guide does not reproduce).
+        to exclude their analytic-CDF regime (whose float path the guide
+        does not reproduce).
         """
         return True
 
@@ -925,6 +926,13 @@ class ClosedFormSpec:
         Optional vectorised analytic CDF ``cdf_fn(i, j) -> F(i | j)`` with
         ``F(-1) = 0`` and ``F(n) = 1`` exactly; enables O(1)-memory
         inverse-CDF sampling at large ``n``.
+    inverse_fn:
+        Optional vectorised analytic inverse ``inverse_fn(j, u)`` giving,
+        per element, an integer-valued guess of the smallest ``i`` with
+        ``F(i | j) > u``.  The sampler clips guesses to ``[0, n]`` (NaN to
+        0) and ignores floating-point warnings while computing them.  Only
+        a guess: the sampler confirms each one against ``cdf_fn``, so an
+        inexact inverse costs speed, never correctness.
     diagonal_fn:
         Optional ``() -> ndarray`` of the diagonal (O(n), no matrix).
     max_alpha_fn:
@@ -939,6 +947,7 @@ class ClosedFormSpec:
         "params",
         "column_fn",
         "cdf_fn",
+        "inverse_fn",
         "diagonal_fn",
         "max_alpha_fn",
         "properties_fn",
@@ -953,6 +962,7 @@ class ClosedFormSpec:
         diagonal_fn: Optional[Callable[[], np.ndarray]] = None,
         max_alpha_fn: Optional[Callable[[], float]] = None,
         properties_fn: Optional[Callable[[float], Dict[str, bool]]] = None,
+        inverse_fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
     ) -> None:
         if column_fn is None:
             raise ValueError("a closed-form spec requires at least a column function")
@@ -960,6 +970,7 @@ class ClosedFormSpec:
         self.params = dict(params or {})
         self.column_fn = column_fn
         self.cdf_fn = cdf_fn
+        self.inverse_fn = inverse_fn
         self.diagonal_fn = diagonal_fn
         self.max_alpha_fn = max_alpha_fn
         self.properties_fn = properties_fn
@@ -972,8 +983,10 @@ class ClosedFormMechanism(Mechanism):
     analytic CDF is available) the exact column-CDF sampler is used — it
     reproduces the dense sampler bit-for-bit on a shared uniform stream
     while only ever materialising the columns present in a batch.  Above
-    the limit, the analytic CDF is inverted by vectorised bisection:
-    ``O(batch log n)`` time and ``O(batch)`` memory, which is what lets
+    the limit, the analytic CDF is inverted in ``O(batch)`` memory: the
+    spec's analytic inverse guesses each output and one batched CDF call
+    confirms it (``O(batch)`` time), and only unconfirmed guesses fall
+    back to bisection (``O(log n)`` CDF calls).  This is what lets
     ``serve-batch`` release millions of counts at ``n = 10^5``.
     """
 
@@ -984,6 +997,14 @@ class ClosedFormMechanism(Mechanism):
     #: batch sampling always take the same path (and therefore stay
     #: bit-identical to each other on a shared stream).
     EXACT_SAMPLING_LIMIT = 2048
+
+    #: How far inside its bracket ``[F(k - 1), F(k))`` a uniform must sit
+    #: for the analytic guess ``k`` to be accepted without bisection.  The
+    #: float CDFs are not exactly monotone (EM's rounds a few ulps down in
+    #: places), but they never fall by more than this along ``i`` (the tests
+    #: assert it for every factory), which makes an accepted ``k`` the only
+    #: bracket of ``u`` and therefore exactly what bisection returns.
+    CONFIRM_MARGIN = 2.0**-40
 
     def __init__(
         self,
@@ -1063,14 +1084,40 @@ class ClosedFormMechanism(Mechanism):
     def _inverse_sample(self, counts: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
         if self.spec.cdf_fn is None or self.n <= self.EXACT_SAMPLING_LIMIT:
             return self._sample_by_columns(counts, uniforms)
-        return self._sample_by_bisection(counts, uniforms)
+        return self._sample_by_guess(counts, uniforms)
 
-    def _sample_by_bisection(self, counts: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    def _sample_by_guess(self, counts: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
         """Invert the analytic CDF: smallest ``i`` with ``F(i | j) > u``.
 
-        Classic vectorised bisection with the invariant ``F(low) <= u <
-        F(high)``; ``F(-1) = 0`` and ``F(n) = 1`` make the initial bracket
-        valid for every uniform in ``[0, 1)``.
+        The spec's analytic inverse guesses ``k`` per element, and one
+        ``cdf_fn`` call on the concatenated ``(k - 1, k)`` pairs confirms
+        every guess whose ``u`` lies at least :attr:`CONFIRM_MARGIN` inside
+        ``[F(k - 1), F(k))``.  That bracket is then the only one of ``u``,
+        so a confirmed guess is exactly what bisection would return.
+        Unconfirmed elements (and every element of a spec without an
+        inverse) go through :meth:`_sample_by_bisection`.
+        """
+        if self.spec.inverse_fn is None:
+            return self._sample_by_bisection(counts, uniforms)
+        # Guesses may be +-inf or NaN where a formula leaves its range (u = 0,
+        # underflowed powers); fmax/fmin clip those into [0, n] like any
+        # other guess, and confirmation checks them all the same.
+        with np.errstate(all="ignore"):
+            guess = self.spec.inverse_fn(counts, uniforms)
+        guess = np.fmin(np.fmax(guess, 0), self.n).astype(np.int64)
+        size = counts.shape[0]
+        bounds = self.spec.cdf_fn(np.concatenate((guess - 1, guess)), np.tile(counts, 2))
+        margin = self.CONFIRM_MARGIN
+        missed = (uniforms - bounds[:size] < margin) | (bounds[size:] - uniforms <= margin)
+        if missed.any():
+            guess[missed] = self._sample_by_bisection(counts[missed], uniforms[missed])
+        return guess
+
+    def _sample_by_bisection(self, counts: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+        """Vectorised bisection with the invariant ``F(low) <= u < F(high)``.
+
+        ``F(-1) = 0`` and ``F(n) = 1`` make the initial bracket valid for
+        every uniform in ``[0, 1)``.
         """
         cdf = self.spec.cdf_fn
         low = np.full(counts.shape[0], -1, dtype=np.int64)

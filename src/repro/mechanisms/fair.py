@@ -183,6 +183,52 @@ def _fair_cdf(n: int, alpha: float, y: float, i: np.ndarray, j: np.ndarray) -> n
     return np.where(i < 0, 0.0, cdf)
 
 
+def _fair_inverse_left(alpha: float, v: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Guess the smallest ``i`` with ``F(i | j) / y > v`` for left-half columns.
+
+    Inverts the three pieces of :func:`_fair_cdf_left` in turn.  With
+    ``h = α^j`` the entry at 0, the rising interior ``i <= j`` has
+    ``F / y = h + (α^{j−i} − h) / (1 − α)``, the falling interior
+    ``i < 2j`` adds ``α (1 − α^{i−j}) / (1 − α)`` to ``F(j) / y``, and the
+    paired tail adds ``α^j T(i − 2j)`` to ``F(2j − 1) / y`` (to 0 when
+    ``j = 0``), where ``T(2q) = 1 + 2α (1 − α^q) / (1 − α)`` and
+    ``T(2q − 1) = T(2q) − α^q``.
+    """
+    log_alpha = math.log(alpha)
+    head = alpha ** j.astype(float)
+    at_diagonal = head + (1.0 - head) / (1.0 - alpha)
+    interior_end = at_diagonal + (alpha - head) / (1.0 - alpha)
+    # Each piece is evaluated everywhere and kept only inside its range.
+    rising = j + 1 - np.ceil(np.log((v - head) * (1.0 - alpha) + head) / log_alpha)
+    falling = j + 1 + np.floor(np.log(1.0 - (v - at_diagonal) * (1.0 - alpha) / alpha) / log_alpha)
+    # Tail: smallest q with T(2q) > t, then step back to 2q − 1 if that
+    # already exceeds t.
+    t = (v - np.where(j == 0, 0.0, interior_end)) / head
+    w = 1.0 - (t - 1.0) * (1.0 - alpha) / (2.0 * alpha)
+    q = np.maximum(np.floor(np.log(w) / log_alpha) + 1.0, 0.0)
+    power = alpha**q
+    odd = 1.0 + 2.0 * alpha * (1.0 - power) / (1.0 - alpha) - power > t
+    tail = 2 * j + 2.0 * q - odd
+    guess = np.where(v < interior_end, falling, tail)
+    return np.where((j > 0) & (v < at_diagonal), rising, guess)
+
+
+def _fair_inverse(n: int, alpha: float, y: float, j: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Guess the smallest ``i`` with ``F(i | j) > u`` (the sampler confirms it).
+
+    Right-half columns reflect through ``F(i | j) = 1 − F(n − i − 1 | n − j)``:
+    the answer is ``n − i'`` for the left-half guess ``i'`` at ``1 − u``.
+    """
+    j = np.asarray(j, dtype=np.int64)
+    if alpha == 0.0:
+        return j
+    if alpha == 1.0:
+        return np.floor(u * (n + 1.0))
+    flip = j > n - j
+    left = _fair_inverse_left(alpha, np.where(flip, 1.0 - u, u) / y, np.where(flip, n - j, j))
+    return np.where(flip, n - left, left)
+
+
 def _fair_properties(tolerance: float) -> Dict[str, bool]:
     """EM satisfies all seven structural properties for every (n, α) — Theorem 4."""
     return {"RH": True, "RM": True, "CH": True, "CM": True, "F": True, "WH": True, "S": True}
@@ -199,6 +245,7 @@ def explicit_fair_mechanism(n: int, alpha: float) -> Mechanism:
         params={"alpha": alpha},
         column_fn=lambda j: _fair_column(n, alpha, y, j),
         cdf_fn=lambda i, j: _fair_cdf(n, alpha, y, i, j),
+        inverse_fn=lambda j, u: _fair_inverse(n, alpha, y, j, u),
         # The diagonal is the constant fair value y (1 for the identity
         # limit α = 0).
         diagonal_fn=lambda: np.full(n + 1, 1.0 if alpha == 0.0 else y * alpha**0.0),

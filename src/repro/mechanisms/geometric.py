@@ -108,6 +108,26 @@ def _geometric_cdf(n: int, alpha: float, i: np.ndarray, j: np.ndarray) -> np.nda
     return np.where(i < 0, 0.0, cdf)
 
 
+def _geometric_inverse(n: int, alpha: float, j: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Guess the smallest ``i`` with ``F(i | j) > u`` by inverting the tails.
+
+    Below the diagonal (``u < F(j − 1 | j) = x α``) ``x α^{j−i} > u`` gives
+    ``i = j − floor(log(u / x) / log α)``; at or above it ``1 − x α^{i−j+1}
+    > u`` gives ``i = j − 1 + ceil(log((1 − u) / x) / log α)``.  The clamp
+    rows need no case: the sampler clips the guess to ``[0, n]``.
+    """
+    j = np.asarray(j, dtype=np.int64)
+    if alpha == 0.0:
+        return j
+    if alpha == 1.0:
+        return np.where(u < 0.5, 0, n)
+    x = 1.0 / (1.0 + alpha)
+    log_alpha = np.log(alpha)
+    below = j - np.floor(np.log(u / x) / log_alpha)
+    above = j - 1 + np.ceil(np.log((1.0 - u) / x) / log_alpha)
+    return np.where(u < x * alpha, below, above)
+
+
 def _geometric_diagonal(n: int, alpha: float) -> np.ndarray:
     """GM's diagonal: ``x`` at the clamped ends, ``y`` in the interior."""
     size = n + 1
@@ -160,6 +180,7 @@ def geometric_mechanism(n: int, alpha: float) -> Mechanism:
         params={"alpha": alpha},
         column_fn=lambda j: geometric_column(n, alpha, j),
         cdf_fn=lambda i, j: _geometric_cdf(n, alpha, i, j),
+        inverse_fn=lambda j, u: _geometric_inverse(n, alpha, j, u),
         diagonal_fn=lambda: _geometric_diagonal(n, alpha),
         # Adjacent interior entries differ by exactly one power of α, so
         # Definition 2 is tight at the design parameter.

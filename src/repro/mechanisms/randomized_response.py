@@ -83,6 +83,20 @@ def _nary_cdf(n: int, p: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return np.where(i < 0, 0.0, cdf)
 
 
+def _nary_inverse(n: int, p: float, j: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Guess the smallest ``i`` with ``F(i | j) > u`` from the piecewise-linear CDF.
+
+    Below the step (``u < j q``) ``(i + 1) q > u`` gives ``floor(u / q)``;
+    past it ``i q + p > u`` gives ``floor((u − p) / q) + 1``, at least ``j``.
+    """
+    j = np.asarray(j, dtype=np.int64)
+    q = (1.0 - p) / n
+    if q == 0.0:
+        return j
+    past = np.maximum(np.floor((u - p) / q) + 1.0, j)
+    return np.where(u < j * q, np.floor(u / q), past)
+
+
 def _nary_max_alpha(n: int, p: float) -> float:
     """Analytic :meth:`Mechanism.max_alpha` for n-ary randomized response.
 
@@ -147,6 +161,7 @@ def nary_randomized_response(
         params=params,
         column_fn=lambda j: nary_column(n, p, j),
         cdf_fn=lambda i, j: _nary_cdf(n, p, i, j),
+        inverse_fn=lambda j, u: _nary_inverse(n, p, j, u),
         diagonal_fn=lambda: np.full(n + 1, p),
         max_alpha_fn=lambda: _nary_max_alpha(n, p),
         properties_fn=lambda tol: _nary_properties(n, p, tol),

@@ -143,6 +143,37 @@ def _staircase_cdf(
     return np.where(i < 0, 0.0, cdf)
 
 
+def _last_threshold_above(value: np.ndarray, alpha: float, width: int) -> np.ndarray:
+    """Guess the largest ``t`` with ``tail(t) > value`` (``tail`` is decreasing).
+
+    Plateau starts have ``tail(L w) = w α^L / (1 − α)``, which fixes the
+    plateau ``L``; inside it ``tail`` is linear in ``t``.
+    """
+    log_alpha = np.log(alpha)
+    level = np.ceil(np.log(value * (1.0 - alpha) / width) / log_alpha) - 1.0
+    power = alpha**level
+    rest = (value - width * alpha * power / (1.0 - alpha)) / power
+    offset = np.clip(np.ceil(width - rest) - 1.0, 0.0, width - 1.0)
+    return level * width + offset
+
+
+def _staircase_inverse(
+    n: int, alpha: float, width: int, j: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """Guess the smallest ``i`` with ``F(i | j) > u`` (the sampler confirms it).
+
+    Below the true count ``tail(j − i) > u Z`` makes ``j − i`` the last
+    threshold above ``u Z``; at or above it ``tail(i − j + 1) < (1 − u) Z``
+    makes ``i − j`` the last threshold above ``(1 − u) Z``.
+    """
+    j = np.asarray(j, dtype=np.int64)
+    first = _unnormalised_upper_tail(1, alpha, width)
+    normaliser = 1.0 + 2.0 * first
+    below = j - _last_threshold_above(u * normaliser, alpha, width)
+    above = j + np.maximum(_last_threshold_above((1.0 - u) * normaliser, alpha, width), 0.0)
+    return np.where(u * normaliser < first, below, above)
+
+
 def staircase_mechanism(n: int, alpha: float, width: int = 1) -> Mechanism:
     """The truncated discrete staircase mechanism as a closed-form mechanism."""
     _check_parameters(n, alpha, width)
@@ -154,6 +185,7 @@ def staircase_mechanism(n: int, alpha: float, width: int = 1) -> Mechanism:
         params={"alpha": alpha, "width": width},
         column_fn=lambda j: staircase_column(n, alpha, width, j),
         cdf_fn=lambda i, j: _staircase_cdf(n, alpha, width, i, j),
+        inverse_fn=lambda j, u: _staircase_inverse(n, alpha, width, j, u),
     )
     mechanism = ClosedFormMechanism(
         n=n,

@@ -41,6 +41,11 @@ def _uniform_cdf(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return np.where(i < 0, 0.0, cdf)
 
 
+def _uniform_inverse(n: int, j: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Guess the smallest ``i`` with ``(i + 1) / (n + 1) > u``: ``floor(u (n + 1))``."""
+    return np.floor(u * (n + 1.0))
+
+
 def _uniform_properties(tolerance: float) -> Dict[str, bool]:
     """UM satisfies every structural property (Theorem 2's witness)."""
     return {"RH": True, "RM": True, "CH": True, "CM": True, "F": True, "WH": True, "S": True}
@@ -61,6 +66,7 @@ def uniform_mechanism(n: int, alpha: float = 1.0) -> Mechanism:
         params={"alpha": float(alpha)},
         column_fn=lambda j: uniform_column(n, j),
         cdf_fn=lambda i, j: _uniform_cdf(n, i, j),
+        inverse_fn=lambda j, u: _uniform_inverse(n, j, u),
         diagonal_fn=lambda: np.full(n + 1, 1.0 / (n + 1)),
         # Every column is identical, so every adjacent ratio is exactly 1.
         max_alpha_fn=lambda: 1.0,

@@ -66,7 +66,7 @@ class TestSampleTiled:
             assert np.array_equal(tiled, sequential), mechanism.representation
 
     def test_tiled_equals_sequential_above_the_exact_sampling_limit(self, rng, monkeypatch):
-        # Force the closed form onto its analytic bisection sampler.
+        # Force the closed form onto its analytic-CDF sampler.
         monkeypatch.setattr(ClosedFormMechanism, "EXACT_SAMPLING_LIMIT", 4)
         mechanism = geometric_mechanism(64, 0.8)
         counts = rng.integers(0, 65, size=97)
